@@ -151,6 +151,9 @@ CONFIG_SCHEMA = {
     },
 }
 
+# Built once: jsonschema.validate re-checks the schema itself on every call.
+_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
 _DEFAULTS = {
     "tolerances": {"rank_tol": 1e-10, "quad_tol": 1e-9},
     "oracle": {"n_samples": 10000, "seed": 0},
@@ -216,11 +219,10 @@ def load_config(path):
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        location = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config schema violation at {location}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        location = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"config schema violation at {location}: {error.message}") from error
     config = dict(raw)
     for section, defaults in _DEFAULTS.items():
         merged = dict(defaults)

@@ -33,7 +33,7 @@ from .geometry import (
     orthonormalize,
     principal_angles,
 )
-from .space import EmpiricalSpace, QuadratureSpace
+from .space import QuadratureSpace
 
 __all__ = [
     "InconsistentSystem",
@@ -172,17 +172,6 @@ class OracleResult:
     n_excluded: int
 
 
-def _blocks(atoms, space, dynamics):
-    if isinstance(space, EmpiricalSpace):
-        if dynamics is not None:
-            raise ValueError(
-                "empirical backend derives operator images from successor "
-                "snapshots; pass dynamics=None"
-            )
-        return space.koopman_gram_blocks(atoms)
-    return space.koopman_gram_blocks(atoms, dynamics)
-
-
 class InvarianceAnalysis:
     """Coordinates of S and K(S) inside W = S + K(S), plus derived results.
 
@@ -213,7 +202,7 @@ class InvarianceAnalysis:
         self.quad_tol = float(quad_tol)
         self._warnings: list[str] = []
 
-        g_dict, g_cross, g_image = _blocks(self.atoms, space, dynamics)
+        g_dict, g_cross, g_image = space.koopman_gram_blocks(self.atoms, dynamics)
         m = len(self.atoms)
 
         # orthonormal basis Phi of the image subspace, in K-Psi coefficients
@@ -264,18 +253,19 @@ class InvarianceAnalysis:
     # -- diagnostics ----------------------------------------------------------
 
     def _check_quadrature(self, g_dict, g_cross, g_image):
-        """Recompute the Gram blocks at doubled order; warn on drift."""
-        refined = self.space.refined(2)
-        blocks_hi = _blocks(self.atoms, refined, self.dynamics)
+        """Recompute the Gram blocks at order ceil(q/2) (order 1: at 2); warn
+        on drift. If the coarser rule agrees, the base rule has converged."""
+        check = self.space.refined(0.5 if self.space.order > 1 else 2)
+        blocks_check = check.koopman_gram_blocks(self.atoms, self.dynamics)
         names = ("dictionary", "cross", "image")
-        for name, low, high in zip(names, (g_dict, g_cross, g_image), blocks_hi):
-            scale = max(np.max(np.abs(high)), 1e-300)
-            drift = float(np.max(np.abs(high - low)) / scale)
+        for name, base, other in zip(names, (g_dict, g_cross, g_image), blocks_check):
+            scale = max(np.max(np.abs(base)), 1e-300)
+            drift = float(np.max(np.abs(other - base)) / scale)
             if drift >= self.quad_tol:
                 message = (
                     f"quadrature order {self.space.order} not converged: "
                     f"{name} Gram block changes by {drift:.3e} relative at "
-                    f"doubled order"
+                    f"order {check.order}"
                 )
                 warnings.warn(message, stacklevel=3)
                 self._warnings.append(message)
@@ -425,7 +415,7 @@ def build_model(atoms, space, dynamics=None, rank_tol=DEFAULT_RANK_TOL):
     atoms = tuple(atoms)
     if not atoms:
         raise ValueError("dictionary must be nonempty")
-    g_dict, g_cross, _ = _blocks(atoms, space, dynamics)
+    g_dict, g_cross, _ = space.koopman_gram_blocks(atoms, dynamics)
     basis, _ = orthonormalize(g_dict, rank_tol)
     k_approx = basis.T @ g_cross.T @ basis
     return KoopmanModel(

@@ -11,8 +11,10 @@ Two backends realize ``<f, g>`` for evaluable functions:
   default to ``1/N``; explicit weights allow e.g. folding a quadrature rule
   into the snapshot set, which makes the two backends agree exactly.
 
-Both backends evaluate every function once per node (node-major cache) and
-assemble Gram matrices by fixed-order summation, so repeated runs are
+Both backends evaluate every function once per node into an atom-major
+array (one contiguous row per function) and sum each Gram entry
+``w * (v_i * v_j)`` along its row, in a reused product buffer of at most
+2**16 elements (one row if there are more nodes), so repeated runs are
 bit-stable. An empirical backend never needs the dynamics map: the image of
 a dictionary function under composition with T is obtained by evaluating the
 function at the successor snapshots.
@@ -120,11 +122,11 @@ def _atom_label(atom, i):
 
 
 def _evaluate_atoms(atoms, points, labels=None):
-    """Node-major evaluation with finiteness check; returns (n_points, n_atoms)."""
+    """Atom-major evaluation with finiteness check; returns (n_atoms, n_points)."""
     points = np.asarray(points, dtype=float)
     if labels is None:
         labels = [_atom_label(a, i) for i, a in enumerate(atoms)]
-    columns = []
+    rows = []
     for atom, label in zip(atoms, labels):
         values = np.asarray(atom(points), dtype=float).reshape(-1)
         if values.shape[0] != points.shape[0]:
@@ -134,24 +136,35 @@ def _evaluate_atoms(atoms, points, labels=None):
         if bad.any():
             j = int(np.argmax(bad))
             raise NonFiniteValue(label, points[j], values[j])
-        columns.append(values)
-    return np.column_stack(columns), labels
+        rows.append(values)
+    return np.stack(rows), labels
 
 
-def _weighted_gram(values, weights):
-    """G[i, j] = sum_k w_k * v_ki * v_kj, accumulated in fixed node order.
+def _weighted_gram(values, weights, other=None):
+    """G[i, j] = sum_k w_k * v_ik * u_jk over atom-major rows of values (v)
+    and other (u, default v, in which case j >= i is formed and mirrored).
 
-    Products are grouped as w * (v_i * v_j) so the result is exactly
-    symmetric, and each entry equals the corresponding inner_product() value
-    bit for bit.
+    Each entry is w * (v_i * u_j) pairwise-summed along a contiguous row, as
+    np.sum does for one pair, so it equals inner_product() bit for bit. Rows
+    of u go in blocks of at most 2**16 products (one row, if it is longer).
     """
-    m = values.shape[1]
-    G = np.empty((m, m))
+    symmetric = other is None
+    if symmetric:
+        other = values
+    m, n, n_points = values.shape[0], other.shape[0], values.shape[1]
+    step = max(1, 2**16 // n_points)
+    buf = np.empty((min(step, n), n_points))
+    G = np.empty((m, n))
     for i in range(m):
-        for j in range(i, m):
-            s = float(np.sum(weights * (values[:, i] * values[:, j])))
-            G[i, j] = s
-            G[j, i] = s
+        for lo in range(i if symmetric else 0, n, step):
+            hi = min(lo + step, n)
+            block = buf[: hi - lo]
+            np.multiply(values[i], other[lo:hi], out=block)
+            block *= weights
+            G[i, lo:hi] = block.sum(axis=1)
+    if symmetric:
+        lower = np.tril_indices(m, -1)
+        G[lower] = G.T[lower]
     return G
 
 
@@ -164,7 +177,7 @@ class _InnerProductBackend:
     def inner_product(self, f, g):
         """<f, g> = sum_k w_k f(p_k) g(p_k); raises NonFiniteValue on inf/nan."""
         values, _ = _evaluate_atoms((f, g), self.nodes)
-        return float(np.sum(self.weights * (values[:, 0] * values[:, 1])))
+        return float(_weighted_gram(values[:1], self.weights, values[1:])[0, 0])
 
     def norm(self, f):
         return float(np.sqrt(max(self.inner_product(f, f), 0.0)))
@@ -195,14 +208,8 @@ class _InnerProductBackend:
         values, _ = _evaluate_atoms(atoms, self.nodes, labels)
         image_values = self._image_values(atoms, labels, dynamics)
         w = self.weights
-        g_dict = _weighted_gram(values, w)
-        g_image = _weighted_gram(image_values, w)
-        m = len(atoms)
-        g_cross = np.empty((m, m))
-        for i in range(m):
-            for j in range(m):
-                g_cross[i, j] = float(np.sum(w * (values[:, i] * image_values[:, j])))
-        return g_dict, g_cross, g_image
+        return (_weighted_gram(values, w), _weighted_gram(values, w, image_values),
+                _weighted_gram(image_values, w))
 
 
 class QuadratureSpace(_InnerProductBackend):
@@ -233,8 +240,8 @@ class QuadratureSpace(_InnerProductBackend):
         self.weights = w.ravel()
 
     def refined(self, factor=2):
-        """Same domain at ``factor`` times the order; used for stability checks."""
-        return QuadratureSpace(self.domain, factor * self.order)
+        """Same domain at ``factor`` times the order, rounded up."""
+        return QuadratureSpace(self.domain, int(np.ceil(factor * self.order)))
 
     def _image_values(self, atoms, labels, dynamics):
         if dynamics is None:

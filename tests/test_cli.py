@@ -1,11 +1,12 @@
 import json
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 from invprox import DynamicsMap, QuadratureSpace, Domain, write_snapshots
-from invprox.cli import main
+from invprox.cli import CONFIG_SCHEMA, main
 
 from conftest import DICTIONARIES, DYNAMICS_SOURCES
 
@@ -36,6 +37,12 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def test_config_schema_is_valid():
+    # load_config validates against a prebuilt validator and no longer
+    # re-checks the schema itself on every load
+    jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+
 class TestProximityCommand:
     def test_bundled_s2_config(self, tmp_path):
         code = run(["proximity", "--config", CONFIGS_DIR / "s2.json",
@@ -64,12 +71,14 @@ class TestProximityCommand:
                     "--out", tmp_path])
         assert code == 2
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         config = base_config(DICTIONARIES["S1"])
         config["quadorder"] = 10
         code = run(["proximity", "--config", write_config(tmp_path, config),
                     "--out", tmp_path])
         assert code == 2
+        assert ("config schema violation at <root>: Additional properties are "
+                "not allowed ('quadorder' was unexpected)") in capsys.readouterr().err
 
     def test_bad_expression_rejected(self, tmp_path):
         config = base_config(DICTIONARIES["S1"])

@@ -344,6 +344,18 @@ class TestQuadratureDiagnostics:
             analysis = InvarianceAnalysis(dictionaries["S3"], coarse, dynamics)
         assert analysis.diagnostics()["warnings"]
 
+    def test_warning_names_the_check_order(self, box, dynamics, dictionaries):
+        from invprox import QuadratureSpace
+
+        # order q is checked against order ceil(q/2); order 1 has no coarser
+        # rule and is checked against order 2
+        for order, check_order in ((5, 3), (2, 1), (1, 2)):
+            space = QuadratureSpace(box, order)
+            with pytest.warns(UserWarning, match=f"at order {check_order}$"):
+                analysis = InvarianceAnalysis(dictionaries["S3"], space, dynamics)
+            assert all(w.startswith(f"quadrature order {order} not converged")
+                       for w in analysis.diagnostics()["warnings"])
+
     def test_silent_at_default_order(self, quad, dynamics, dictionaries):
         analysis = InvarianceAnalysis(dictionaries["S3"], quad, dynamics)
         assert analysis.diagnostics()["warnings"] == []

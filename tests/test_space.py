@@ -6,6 +6,7 @@ from invprox import (
     EmpiricalSpace,
     NonFiniteValue,
     QuadratureSpace,
+    compose_with_map,
     parse,
     read_snapshots,
     write_snapshots,
@@ -69,13 +70,30 @@ class TestQuadrature:
         G2 = quad.gram(_atoms("x1^2"))
         assert G2.entries[0, 0] == pytest.approx(0.8, abs=1e-12)
 
-    def test_gram_matches_inner_product_bitwise(self, quad):
-        atoms = _atoms("1", "x1", "sin(x2)", "x1^2*x2")
-        G = quad.gram(atoms)
-        for i in range(4):
-            for j in range(4):
-                assert G.entries[i, j] == quad.inner_product(atoms[i], atoms[j])
-        assert np.array_equal(G.entries, G.entries.T)
+    def test_gram_matches_inner_product_bitwise(self, quad, box, dynamics):
+        few = _atoms("1", "x1", "sin(x2)", "x1^2*x2")
+        # block edges of the Gram kernel's 2**16-element product buffer:
+        # order 40 (1600 nodes) holds 40 rows per block, fewer than these
+        # 41 atoms; order 300 (90000 nodes) holds a single row per block
+        many = _atoms(*[f"x1^{a}*x2^{b}" for a in range(7) for b in range(5)],
+                      "sin(x1*x2)", "exp(x2)", "cos(3*x1)", "x1^2*x2",
+                      "1/(2+x1)", "sqrt(2+x2)")
+        # (space, atoms, rows checked entry by entry against inner_product)
+        cases = [(quad, few, range(4)), (QuadratureSpace(box, 40), many, (0, 20, 40)),
+                 (QuadratureSpace(box, 300), few[1:], range(3))]
+        for space, atoms, rows in cases:
+            m = len(atoms)
+            G = space.gram(atoms).entries
+            g_dict, g_cross, g_image = space.koopman_gram_blocks(atoms, dynamics)
+            assert np.array_equal(G, g_dict)
+            assert np.array_equal(G, G.T)
+            assert np.array_equal(g_image, g_image.T)
+            images = [compose_with_map(a, dynamics) for a in atoms]
+            for i in rows:
+                for j in range(m):
+                    assert G[i, j] == space.inner_product(atoms[i], atoms[j])
+                    assert g_cross[i, j] == space.inner_product(atoms[i], images[j])
+                    assert g_image[i, j] == space.inner_product(images[i], images[j])
 
     def test_polynomial_exactness_against_closed_form(self):
         # order q integrates degree 2q-1 exactly per dimension
@@ -127,6 +145,12 @@ class TestQuadrature:
 
     def test_refined(self, quad):
         assert quad.refined(2).order == 40
+        # the convergence check halves the order, rounding up
+        assert QuadratureSpace(quad.domain, 5).refined(0.5).order == 3
+        assert quad.refined(0.5).order == 10
+        box4 = Domain(((-1.0, 1.0),) * 4)
+        check = QuadratureSpace(box4, 20).refined(0.5)
+        assert check.nodes.shape == (10**4, 4)
 
 
 class TestKoopmanBlocks:
