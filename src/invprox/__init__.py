@@ -3,9 +3,9 @@
 
 The package computes the worst-case relative error of projection-based
 finite-dimensional operator models as the sine of the largest principal
-angle between a subspace and its operator image, working entirely in Gram
-coordinates so that only inner products of dictionary functions are ever
-needed. Inner products come from a Gauss-Legendre quadrature backend or
+angle between a subspace and its operator image, working in isometric
+coordinates taken from a QR factor of the weighted dictionary evaluations.
+The weights and nodes come from a Gauss-Legendre quadrature backend or
 from an empirical snapshot measure.
 """
 
@@ -40,14 +40,10 @@ from .koopman import (
     ProximityReport,
     ZeroImage,
     ZeroNorm,
-    analyze,
     build_model,
     invariance_proximity,
     proximity_oracle,
-    relative_error,
-    residuals,
     trajectory_error,
-    witness,
 )
 from .space import (
     Domain,
@@ -92,13 +88,9 @@ __all__ = [
     "ProximityReport",
     "OracleResult",
     "InvarianceAnalysis",
-    "analyze",
     "build_model",
     "invariance_proximity",
-    "witness",
-    "relative_error",
     "proximity_oracle",
-    "residuals",
     "trajectory_error",
     "InconsistentSystem",
     "ZeroImage",

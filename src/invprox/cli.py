@@ -30,6 +30,7 @@ import jsonschema
 from .expr import DynamicsMap, ParseError, parse
 from .geometry import BudgetExceeded, DegenerateSpace, NotPSD
 from .koopman import (
+    DEFAULT_RANK_TOL,
     InconsistentSystem,
     InvarianceAnalysis,
     ZeroImage,
@@ -38,7 +39,8 @@ from .koopman import (
     proximity_oracle,
     trajectory_error,
 )
-from .space import Domain, EmpiricalSpace, NonFiniteValue, QuadratureSpace, read_snapshots
+from .space import (DEFAULT_QUAD_ORDER, Domain, EmpiricalSpace, NonFiniteValue,
+                     QuadratureSpace, read_snapshots)
 
 __all__ = ["main", "CONFIG_SCHEMA", "SYSTEM_REGISTRY", "ConfigError"]
 
@@ -155,7 +157,7 @@ CONFIG_SCHEMA = {
 _CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 
 _DEFAULTS = {
-    "tolerances": {"rank_tol": 1e-10, "quad_tol": 1e-9},
+    "tolerances": {"rank_tol": DEFAULT_RANK_TOL, "quad_tol": 1e-9},
     "oracle": {"n_samples": 10000, "seed": 0},
     "experiment": {"n_trajectories": 100, "horizon": 10, "sampling_seed": 0},
 }
@@ -271,7 +273,7 @@ def build_space(config):
         raise ConfigError(str(exc)) from exc
     backend = config["backend"]
     if backend["type"] == "quadrature":
-        return QuadratureSpace(domain, backend.get("order", 20))
+        return QuadratureSpace(domain, backend.get("order", DEFAULT_QUAD_ORDER))
     try:
         snapshots_x, snapshots_y = read_snapshots(backend["snapshot_path"])
     except (OSError, ValueError) as exc:
@@ -290,14 +292,14 @@ def build_space(config):
         raise ConfigError(str(exc)) from exc
 
 
-def _prepare(config, need_dynamics, forbid_empirical_dynamics=True):
+def _prepare(config, need_dynamics):
     space = build_space(config)
     atoms = _parse_dictionary(config)
     dynamics = _parse_dynamics(config)
     empirical = isinstance(space, EmpiricalSpace)
     if need_dynamics and dynamics is None:
         raise ConfigError("this command requires a dynamics section")
-    if not need_dynamics and empirical and dynamics is not None and forbid_empirical_dynamics:
+    if not need_dynamics and empirical and dynamics is not None:
         raise ConfigError(
             "dynamics is forbidden with the empirical backend unless "
             "trajectories are being simulated (the predict command)"
@@ -309,11 +311,10 @@ def _prepare(config, need_dynamics, forbid_empirical_dynamics=True):
 
 def _analysis(config, space, atoms, dynamics):
     tol = config["tolerances"]
-    gram_dynamics = None if isinstance(space, EmpiricalSpace) else dynamics
     return InvarianceAnalysis(
         atoms,
         space,
-        gram_dynamics,
+        dynamics,
         rank_tol=tol["rank_tol"],
         quad_tol=tol["quad_tol"],
     )
@@ -331,7 +332,7 @@ def cmd_proximity(config, out_dir):
     return EXIT_OK
 
 
-def cmd_table1(out_dir, quad_order=20, rank_tol=1e-10):
+def cmd_table1(out_dir, quad_order, rank_tol):
     system = SYSTEM_REGISTRY["example_sec7"]
     domain = Domain(tuple(tuple(b) for b in system["domain"]))
     space = QuadratureSpace(domain, quad_order)
@@ -349,9 +350,7 @@ def cmd_table1(out_dir, quad_order=20, rank_tol=1e-10):
 
 
 def cmd_predict(config, out_dir):
-    space, atoms, dynamics = _prepare(
-        config, need_dynamics=True, forbid_empirical_dynamics=False
-    )
+    space, atoms, dynamics = _prepare(config, need_dynamics=True)
     experiment = config["experiment"]
     seed = experiment["sampling_seed"]
     horizon = experiment["horizon"]
@@ -499,12 +498,8 @@ def _apply_overrides(config, args):
     if args.quad_order is not None:
         if config["backend"]["type"] != "quadrature":
             raise ConfigError("--quad-order applies to the quadrature backend only")
-        if args.quad_order < 1:
-            raise ConfigError("--quad-order must be positive")
         config["backend"]["order"] = args.quad_order
     if args.rank_tol is not None:
-        if args.rank_tol <= 0:
-            raise ConfigError("--rank-tol must be positive")
         config["tolerances"]["rank_tol"] = args.rank_tol
     return config
 
@@ -514,16 +509,13 @@ def main(argv=None):
     try:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
+        if args.quad_order is not None and args.quad_order < 1:
+            raise ConfigError("--quad-order must be positive")
+        if args.rank_tol is not None and args.rank_tol <= 0:
+            raise ConfigError("--rank-tol must be positive")
         if args.command == "table1":
-            if args.quad_order is not None and args.quad_order < 1:
-                raise ConfigError("--quad-order must be positive")
-            if args.rank_tol is not None and args.rank_tol <= 0:
-                raise ConfigError("--rank-tol must be positive")
-            return cmd_table1(
-                out_dir,
-                quad_order=20 if args.quad_order is None else args.quad_order,
-                rank_tol=1e-10 if args.rank_tol is None else args.rank_tol,
-            )
+            return cmd_table1(out_dir, args.quad_order or DEFAULT_QUAD_ORDER,
+                              args.rank_tol or DEFAULT_RANK_TOL)
         config = _apply_overrides(load_config(args.config), args)
         handler = {
             "proximity": cmd_proximity,

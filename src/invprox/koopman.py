@@ -9,12 +9,13 @@ and the evaluated basis vector advances as ``Psi(T x) ~= K Psi(x)``.
 Eigenfunctions of the projected operator therefore come from *left*
 eigenvectors of K.
 
-All geometric quantities live in coordinates on W = S + K(S): the generators
-[Psi, Phi] (dictionary plus an orthonormal basis of the image) are embedded
-isometrically into R^dim(W), where principal angles between the embedded
-copies of S and K(S) are computed with standard dense linear algebra. The
-worst-case relative projection error of the model over S equals the sine of
-the largest of those angles, and a maximizing witness function is any
+All geometric quantities live in coordinates on W = S + K(S): column j of
+the QR factor R of the weighted evaluations sqrt(w) * [Psi, K Psi] holds
+isometric coordinates of generator j. Orthonormal bases of S and K(S) come
+from SVDs of the two column blocks of R, so no Gram matrix is formed and the
+condition number is not squared. The worst-case relative projection error
+of the model over S equals the sine of the largest principal angle between
+those bases (Bjorck & Golub), and a maximizing witness function is any
 preimage of the top principal vector on the image side.
 """
 
@@ -25,15 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (
-    DEFAULT_RANK_TOL,
-    PrincipalDecomposition,
-    SubspaceBasis,
-    build_isomorphism,
-    orthonormalize,
-    principal_angles,
-)
-from .space import QuadratureSpace
+from .geometry import DegenerateSpace, PrincipalDecomposition, SubspaceBasis, principal_angles
+from .space import NonFiniteValue, QuadratureSpace, _atom_label
 
 __all__ = [
     "InconsistentSystem",
@@ -44,16 +38,13 @@ __all__ = [
     "ProximityReport",
     "OracleResult",
     "InvarianceAnalysis",
-    "analyze",
     "build_model",
     "invariance_proximity",
-    "witness",
-    "relative_error",
     "proximity_oracle",
-    "residuals",
     "trajectory_error",
 ]
 
+DEFAULT_RANK_TOL = 1e-12  # relative to the largest singular value
 DEFAULT_QUAD_TOL = 1e-9
 _ZERO_IMAGE_TOL = 1e-14
 
@@ -68,6 +59,17 @@ class ZeroImage(ValueError):
 
 class ZeroNorm(ValueError):
     """Evaluated dictionary vector vanished along a trajectory."""
+
+
+def _atom_values(atoms, points):
+    """Point-major atom values, shape (n_points, n_atoms); raises
+    NonFiniteValue naming the first state and atom with an inf/nan value."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    values = np.column_stack([np.asarray(a(pts), dtype=float) for a in atoms])
+    if not np.isfinite(values).all():
+        row, col = np.argwhere(~np.isfinite(values))[0]
+        raise NonFiniteValue(_atom_label(atoms[col], col), pts[row], values[row, col])
+    return values
 
 
 @dataclass(frozen=True)
@@ -85,9 +87,7 @@ class FunctionVec:
             raise ValueError("one coefficient per atom required")
 
     def __call__(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        values = np.column_stack([np.asarray(a(pts), dtype=float) for a in self.atoms])
-        return values @ self.coeffs
+        return _atom_values(self.atoms, points) @ self.coeffs
 
     def eval(self, point):
         return float(self(np.asarray(point, dtype=float).reshape(1, -1))[0])
@@ -119,9 +119,7 @@ class KoopmanModel:
 
     def eval_basis(self, points):
         """Orthonormal basis functions evaluated at points, shape (m, dim)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        raw = np.column_stack([np.asarray(a(pts), dtype=float) for a in self.atoms])
-        return raw @ self.basis
+        return _atom_values(self.atoms, points) @ self.basis
 
     def predict_coeffs(self, coeffs, steps=1):
         """Coefficients of the predicted image after ``steps`` applications.
@@ -175,10 +173,11 @@ class OracleResult:
 class InvarianceAnalysis:
     """Coordinates of S and K(S) inside W = S + K(S), plus derived results.
 
-    Construction runs the whole geometric pipeline: form the generators of
-    the image, orthonormalize them, assemble the Gram of [Psi, Phi], embed
-    into coordinates, orthonormalize the embedded copy of S, and take the
-    principal decomposition. Everything else (witness, relative errors,
+    Construction runs the whole geometric pipeline: factor the weighted
+    evaluations into R (``space.koopman_factor``), take orthonormal bases of
+    S and K(S) from SVDs of its two column blocks, ranks counting singular
+    values above ``rank_tol`` times the largest, and compute the principal
+    decomposition. Everything else (witness, relative errors,
     eigenpair residuals, restricted operator norm) is linear algebra on the
     stored coordinate matrices. Instances are immutable in practice; methods
     have no side effects beyond caching.
@@ -202,34 +201,21 @@ class InvarianceAnalysis:
         self.quad_tol = float(quad_tol)
         self._warnings: list[str] = []
 
-        g_dict, g_cross, g_image = space.koopman_gram_blocks(self.atoms, dynamics)
+        factor = space.koopman_factor(self.atoms, dynamics)
         m = len(self.atoms)
+        self.dim_w = _rank(np.linalg.svd(factor, compute_uv=False), self.rank_tol)
 
-        # orthonormal basis Phi of the image subspace, in K-Psi coefficients
-        self.image_basis, self.dim_ks = orthonormalize(g_image, rank_tol)
-        coupling = g_cross @ self.image_basis
-        gram_w = np.block(
-            [[g_dict, coupling], [coupling.T, np.eye(self.dim_ks)]]
-        )
-        self.isomorphism = build_isomorphism(gram_w, rank_tol)
-        embed = self.isomorphism.embed_matrix
-        self.dim_w = embed.shape[0]
+        # coordinates of each raw atom, and of its operator image
+        self.dict_coords = factor[:, :m]
+        self.image_map = factor[:, m:]
+        q, self.dictionary_basis, self.dim_s = _span_basis(self.dict_coords, self.rank_tol)
+        q_image, _, self.dim_ks = _span_basis(self.image_map, self.rank_tol)
+        self.q_s = SubspaceBasis(q)
+        self.q_ks = SubspaceBasis(q_image)
 
-        self.dict_coords = embed[:, :m]          # columns: each raw atom
-        image_coords = embed[:, m:]              # columns: each Phi_j
-        self.dictionary_basis, self.dim_s = orthonormalize(g_dict, rank_tol)
-        basis_coords = self.dict_coords @ self.dictionary_basis
-
-        self.q_s = SubspaceBasis(_polish(basis_coords))
-        self.q_ks = SubspaceBasis(_polish(image_coords))
-        self._basis_coords_raw = basis_coords
-
-        # coordinates of operator images: of each raw atom, and of each
-        # orthonormal basis function
-        self.image_map = image_coords @ (self.image_basis.T @ g_image)
+        # coordinates of the operator image of each orthonormal basis function
         self.basis_image_map = self.image_map @ self.dictionary_basis
-
-        self.k_approx = self.dictionary_basis.T @ g_cross.T @ self.dictionary_basis
+        self.k_approx = self.basis_image_map.T @ q
 
         self.decomposition: PrincipalDecomposition = principal_angles(
             self.q_s, self.q_ks
@@ -245,20 +231,23 @@ class InvarianceAnalysis:
         self.proximity = float(np.sin(self.angles[-1]))
 
         if check_quadrature and isinstance(space, QuadratureSpace):
-            self._check_quadrature(g_dict, g_cross, g_image)
+            self._check_quadrature(factor)
 
         self._witness_coeffs = None
         self._witness_diag = {}
 
     # -- diagnostics ----------------------------------------------------------
 
-    def _check_quadrature(self, g_dict, g_cross, g_image):
+    def _check_quadrature(self, factor):
         """Recompute the Gram blocks at order ceil(q/2) (order 1: at 2); warn
         on drift. If the coarser rule agrees, the base rule has converged."""
         check = self.space.refined(0.5 if self.space.order > 1 else 2)
-        blocks_check = check.koopman_gram_blocks(self.atoms, self.dynamics)
-        names = ("dictionary", "cross", "image")
-        for name, base, other in zip(names, (g_dict, g_cross, g_image), blocks_check):
+        m = len(self.atoms)
+        check_factor = check.koopman_factor(self.atoms, self.dynamics)
+        base_gram, check_gram = factor.T @ factor, check_factor.T @ check_factor
+        blocks = (np.s_[:m, :m], np.s_[:m, m:], np.s_[m:, m:])
+        for name, block in zip(("dictionary", "cross", "image"), blocks):
+            base, other = base_gram[block], check_gram[block]
             scale = max(np.max(np.abs(base)), 1e-300)
             drift = float(np.max(np.abs(other - base)) / scale)
             if drift >= self.quad_tol:
@@ -372,8 +361,9 @@ class InvarianceAnalysis:
             v = vectors[:, i]
             v = v / np.linalg.norm(v)
             image = self.basis_image_map @ v
-            model_image = lam * (self._basis_coords_raw @ v)
-            denom = np.linalg.norm(self._basis_coords_raw @ v)
+            function = self.q_s.coeffs @ v
+            model_image = lam * function
+            denom = np.linalg.norm(function)
             out.append((lam, float(np.linalg.norm(image - model_image) / denom)))
         out.sort(key=lambda pair: (pair[0].real, pair[0].imag))
         return out
@@ -391,18 +381,24 @@ class InvarianceAnalysis:
         )
 
 
-def _polish(columns):
-    """Re-orthonormalize embedded basis columns if round-off degraded them."""
-    gram = columns.T @ columns
-    if np.max(np.abs(gram - np.eye(columns.shape[1]))) <= 1e-12:
-        return columns
-    q, r = np.linalg.qr(columns)
-    return q * np.where(np.diag(r) < 0, -1.0, 1.0)
+def _rank(sigma, rank_tol):
+    """Number of singular values (descending) above rank_tol times the largest."""
+    rank = int(np.count_nonzero(sigma > rank_tol * sigma[0]))
+    if rank == 0:
+        raise DegenerateSpace("no singular value above the rank tolerance")
+    return rank
 
 
-def analyze(atoms, space, dynamics=None, **kwargs):
-    """Build an :class:`InvarianceAnalysis`; see the class for options."""
-    return InvarianceAnalysis(atoms, space, dynamics, **kwargs)
+def _span_basis(coords, rank_tol):
+    """``(q, basis, rank)`` with ``q = coords @ basis`` orthonormal, spanning
+    the columns of ``coords``. Columns go by descending singular value, each
+    signed so that the largest-magnitude entry of its ``basis`` column is
+    positive (the ``geometry.orthonormalize`` convention)."""
+    u, sigma, vt = np.linalg.svd(coords, full_matrices=False)
+    rank = _rank(sigma, rank_tol)
+    v = vt[:rank].T
+    signs = np.where(v[np.argmax(np.abs(v), axis=0), np.arange(rank)] < 0, -1.0, 1.0)
+    return u[:, :rank] * signs, v * signs / sigma[:rank], rank
 
 
 def build_model(atoms, space, dynamics=None, rank_tol=DEFAULT_RANK_TOL):
@@ -415,9 +411,10 @@ def build_model(atoms, space, dynamics=None, rank_tol=DEFAULT_RANK_TOL):
     atoms = tuple(atoms)
     if not atoms:
         raise ValueError("dictionary must be nonempty")
-    g_dict, g_cross, _ = space.koopman_gram_blocks(atoms, dynamics)
-    basis, _ = orthonormalize(g_dict, rank_tol)
-    k_approx = basis.T @ g_cross.T @ basis
+    factor = space.koopman_factor(atoms, dynamics)
+    m = len(atoms)
+    q, basis, _ = _span_basis(factor[:, :m], rank_tol)
+    k_approx = (factor[:, m:] @ basis).T @ q
     return KoopmanModel(
         atoms=atoms,
         space=space,
@@ -451,16 +448,6 @@ def invariance_proximity(
         check_quadrature=check_quadrature,
     )
     return analysis.report()
-
-
-def witness(analysis):
-    """Maximizing function of the relative-error supremum; see the method."""
-    return analysis.witness()
-
-
-def relative_error(f, analysis):
-    """Relative projection error of the image of ``f``; see the method."""
-    return analysis.relative_error(f)
 
 
 def proximity_oracle(
@@ -555,11 +542,6 @@ def _refine(error_of, point, value, max_steps, step=1e-3, fd_step=1e-6):
             if step < 1e-12:
                 break
     return point, value
-
-
-def residuals(analysis):
-    """Eigenpair residuals of the projected operator; see the method."""
-    return analysis.residuals()
 
 
 def trajectory_error(model, dynamics, x0, horizon):

@@ -247,6 +247,15 @@ class TestPredictCommand:
         for step in payload["steps"]:
             assert step["max"] <= 1e-6  # invariant subspace, data-driven model
 
+    def test_non_finite_along_trajectory_is_numerical_failure(self, tmp_path, capsys):
+        # finite at every quadrature node, but trajectories leave the box
+        # and sqrt(x1+2) turns nan from the second step on
+        config = base_config(["1", "sqrt(x1+2)", "x2"])
+        config["dynamics"] = ["1.5*x1", "x2"]
+        assert run(["predict", "--config", write_config(tmp_path, config),
+                    "--out", tmp_path]) == 3
+        assert "NonFiniteValue: sqrt(x1+2.0) is non-finite (nan)" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):

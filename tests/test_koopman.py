@@ -11,7 +11,9 @@ from invprox import (
     ZeroNorm,
     build_model,
     compose_with_map,
+    QuadratureSpace,
     invariance_proximity,
+    orthonormalize,
     parse,
     proximity_oracle,
     trajectory_error,
@@ -22,6 +24,20 @@ from conftest import gauss_legendre_2d
 
 def _atoms(*sources):
     return tuple(parse(s, 2) for s in sources)
+
+
+def _sweep_dictionary(basis, degree):
+    """Monomials x1^i*x2^j or Legendre products P_i(x1)*P_j(x2), i+j <= degree,
+    ordered by the x1 power, then the x2 power."""
+
+    def factor(var, k):
+        if basis == "monomial":
+            return f"{var}^{k}"
+        coeffs = np.polynomial.legendre.leg2poly([0] * k + [1])
+        return "(" + " + ".join(f"({float(c)!r})*{var}^{p}" for p, c in enumerate(coeffs) if c) + ")"
+
+    return _atoms(*(f"{factor('x1', i)}*{factor('x2', j)}"
+                    for i in range(degree + 1) for j in range(degree + 1 - i)))
 
 
 class TestBuildModel:
@@ -83,6 +99,23 @@ class TestBuildModel:
     def test_degenerate_dictionary(self, quad, dynamics):
         with pytest.raises(DegenerateSpace):
             build_model(_atoms("0*x1"), quad, dynamics)
+
+    def test_basis_convention(self, quad, dynamics):
+        # columns by descending singular value, each signed so that its
+        # largest-magnitude coefficient is positive: the orthonormalize
+        # convention, which fixes the functions the oracle samples over
+        # (scaled so that eigenvalues and the leading coefficient of each
+        # column are distinct, which makes the convention unique)
+        atoms = _atoms("1", "x1", "2*x2", "x1^2", "3*x2^2")
+        model = build_model(atoms, quad, dynamics)
+        analysis = InvarianceAnalysis(atoms, quad, dynamics)
+        reference, _ = orthonormalize(quad.gram(atoms))
+        assert np.allclose(model.basis, reference, rtol=0, atol=1e-10)
+        assert np.array_equal(analysis.dictionary_basis, model.basis)
+        leads = model.basis[np.argmax(np.abs(model.basis), axis=0), np.arange(5)]
+        assert np.all(leads > 0)
+        flipped = build_model(tuple(reversed(atoms)), quad, dynamics).basis
+        assert np.allclose(flipped[::-1], reference, rtol=0, atol=1e-10)
 
 
 class TestInvarianceProximity:
@@ -296,6 +329,18 @@ class TestInvariances:
                 atoms, EmpiricalSpace(X, Y, weights=scale * quad.weights)
             ).proximity
             assert abs(scaled - baseline) < 1e-12
+
+    def test_monomial_and_legendre_bases_agree(self, box, dynamics):
+        # ill-conditioned monomial spans: a Gram-based rank decision loses
+        # image rank at degree 8 and 10 and moves the value by up to 7%
+        space = QuadratureSpace(box, 40)
+        for degree, dim in ((6, 28), (8, 45), (10, 66)):
+            results = [InvarianceAnalysis(_sweep_dictionary(basis, degree), space,
+                                          dynamics, check_quadrature=False)
+                       for basis in ("monomial", "legendre")]
+            for analysis in results:
+                assert (analysis.dim_s, analysis.dim_ks) == (dim, dim)
+            assert abs(results[0].proximity - results[1].proximity) <= 1e-10
 
     def test_node_snapshots_match_quadrature(self, quad, dynamics, dictionaries):
         X = quad.nodes

@@ -185,6 +185,22 @@ class TestKoopmanBlocks:
         with pytest.raises(ValueError):
             quad.koopman_gram_blocks(_atoms("x1"), None)
 
+    def test_factor_reproduces_gram_blocks(self, quad, box, dynamics):
+        # S3 folds 1638 nodes per block: order 20 is one block, the 300x300
+        # rule (90000 nodes) is 55 blocks
+        atoms = _atoms("1", "x1", "x2", "x1^2", "x2^2")
+        X = np.random.default_rng(12).uniform(-1, 1, size=(5000, 2))
+        cases = [(quad, dynamics), (QuadratureSpace(box, 300), dynamics),
+                 (EmpiricalSpace(X, dynamics(X)), None)]
+        for space, dyn in cases:
+            R = space.koopman_factor(atoms, dyn)
+            assert R.shape == (10, 10)
+            assert np.array_equal(R, np.triu(R))
+            g_dict, g_cross, g_image = space.koopman_gram_blocks(atoms, dyn)
+            reference = np.block([[g_dict, g_cross], [g_cross.T, g_image]])
+            scale = np.max(np.abs(reference))
+            assert np.max(np.abs(R.T @ R - reference)) <= 1e-12 * scale
+
 
 class TestEmpirical:
     def test_single_atom_example(self):
