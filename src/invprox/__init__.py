@@ -44,6 +44,7 @@ from .koopman import (
     invariance_proximity,
     proximity_oracle,
     trajectory_error,
+    trajectory_errors,
 )
 from .space import (
     Domain,
@@ -92,6 +93,7 @@ __all__ = [
     "invariance_proximity",
     "proximity_oracle",
     "trajectory_error",
+    "trajectory_errors",
     "InconsistentSystem",
     "ZeroImage",
     "ZeroNorm",

@@ -20,6 +20,7 @@ identical configurations and seeds produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -34,10 +35,9 @@ from .koopman import (
     InconsistentSystem,
     InvarianceAnalysis,
     ZeroImage,
-    ZeroNorm,
     build_model,
     proximity_oracle,
-    trajectory_error,
+    trajectory_errors,
 )
 from .space import (DEFAULT_QUAD_ORDER, Domain, EmpiricalSpace, NonFiniteValue,
                      QuadratureSpace, read_snapshots)
@@ -215,8 +215,14 @@ def write_csv(path, header, rows, comments=()):
 # --- configuration -------------------------------------------------------------
 
 def load_config(path):
+    def finite(text):  # json reads NaN, Infinity and overflowing literals
+        if np.isfinite(value := float(text)):
+            return value
+        raise ConfigError(f"{path}: non-finite number {text} is not allowed")
+
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), parse_float=finite,
+                         parse_constant=finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -355,50 +361,33 @@ def cmd_predict(config, out_dir):
     seed = experiment["sampling_seed"]
     horizon = experiment["horizon"]
     model_dynamics = None if isinstance(space, EmpiricalSpace) else dynamics
-    model = build_model(
-        atoms, space, model_dynamics, rank_tol=config["tolerances"]["rank_tol"]
-    )
+    model = build_model(atoms, space, model_dynamics, rank_tol=config["tolerances"]["rank_tol"])
     domain = Domain(tuple(tuple(b) for b in config["domain"]))
     rng = np.random.default_rng(seed)
     starts = domain.sample(rng, experiment["n_trajectories"])
-    per_step = []
-    excluded = 0
-    for x0 in starts:
-        try:
-            per_step.append(trajectory_error(model, dynamics, x0, horizon))
-        except ZeroNorm:
-            excluded += 1
+    errors, kept = trajectory_errors(model, dynamics, starts, horizon)
+    excluded = int(np.count_nonzero(~kept))
     if excluded:
         print(f"warning: excluded {excluded} trajectories with vanishing "
               f"dictionary norm", file=sys.stderr)
+    header = ("k", "median", "q25", "q75", "min", "max")
     rows = []
-    steps = []
-    if horizon > 0 and per_step:
-        errors = np.vstack(per_step)
-        for k in range(1, horizon + 1):
-            column = errors[:, k - 1]
-            stats = {
-                "k": k,
-                "median": float(np.median(column)),
-                "q25": float(np.percentile(column, 25)),
-                "q75": float(np.percentile(column, 75)),
-                "min": float(np.min(column)),
-                "max": float(np.max(column)),
-            }
-            steps.append(stats)
-            rows.append(tuple(stats.values()))
+    if errors.size:
+        columns = (np.median(errors, axis=0), *np.percentile(errors, [25, 75], axis=0),
+                   np.min(errors, axis=0), np.max(errors, axis=0))
+        rows = [(k, *map(float, values)) for k, values in enumerate(zip(*columns), start=1)]
+    steps = [dict(zip(header, row)) for row in rows]
     csv_path = out_dir / "predict.csv"
     write_csv(
         csv_path,
-        ["k", "median", "q25", "q75", "min", "max"],
+        header,
         rows,
-        comments=[f"seed={seed}", f"n_trajectories={len(per_step)}",
-                  f"excluded={excluded}"],
+        comments=[f"seed={seed}", f"n_trajectories={len(errors)}", f"excluded={excluded}"],
     )
     json_path = out_dir / "predict.json"
     write_json(json_path, {
         "seed": seed,
-        "n_trajectories": len(per_step),
+        "n_trajectories": len(errors),
         "excluded": excluded,
         "horizon": horizon,
         "steps": steps,
@@ -462,6 +451,7 @@ def cmd_residuals(config, out_dir):
 
 # --- argument handling -----------------------------------------------------------
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="invprox",
@@ -511,8 +501,8 @@ def main(argv=None):
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.quad_order is not None and args.quad_order < 1:
             raise ConfigError("--quad-order must be positive")
-        if args.rank_tol is not None and args.rank_tol <= 0:
-            raise ConfigError("--rank-tol must be positive")
+        if args.rank_tol is not None and not 0 < args.rank_tol < np.inf:
+            raise ConfigError("--rank-tol must be positive and finite")
         if args.command == "table1":
             return cmd_table1(out_dir, args.quad_order or DEFAULT_QUAD_ORDER,
                               args.rank_tol or DEFAULT_RANK_TOL)
@@ -528,7 +518,7 @@ def main(argv=None):
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DegenerateSpace, NotPSD, NonFiniteValue, InconsistentSystem,
-            ZeroImage, ZeroNorm, BudgetExceeded, np.linalg.LinAlgError) as exc:
+            ZeroImage, BudgetExceeded, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -42,6 +42,7 @@ __all__ = [
     "invariance_proximity",
     "proximity_oracle",
     "trajectory_error",
+    "trajectory_errors",
 ]
 
 DEFAULT_RANK_TOL = 1e-12  # relative to the largest singular value
@@ -476,72 +477,90 @@ def proximity_oracle(
         )
     a_k = analysis.basis_image_map
     q = analysis.q_s.coeffs
-    rank = a_k.shape[1]
 
-    def error_of(unit_coeffs):
-        image = a_k @ unit_coeffs
-        norm = np.linalg.norm(image)
-        if norm <= _ZERO_IMAGE_TOL:
-            return None
-        return float(np.linalg.norm(image - q @ (q.T @ image)) / norm)
+    def errors_of(unit_rows):
+        """Relative errors of coefficient rows; -1 where the image vanishes."""
+        images = unit_rows @ a_k.T
+        norms = np.linalg.norm(images, axis=1)
+        valid = norms > _ZERO_IMAGE_TOL
+        residual = np.linalg.norm(images - (images @ q) @ q.T, axis=1)
+        return np.where(valid, residual / np.where(valid, norms, 1.0), -1.0)
 
     rng = np.random.default_rng(seed)
-    samples = rng.standard_normal((n_samples, rank))
+    samples = rng.standard_normal((n_samples, a_k.shape[1]))
     samples /= np.linalg.norm(samples, axis=1, keepdims=True)
-    images = a_k @ samples.T
-    norms = np.linalg.norm(images, axis=0)
-    valid = norms > _ZERO_IMAGE_TOL
-    n_excluded = int(np.count_nonzero(~valid))
-    if not np.any(valid):
-        # operator annihilates every sampled function; report zero error
-        best = samples[0]
-        best_error = 0.0
-    else:
-        residual = images - q @ (q.T @ images)
-        errors = np.where(
-            valid, np.linalg.norm(residual, axis=0) / np.where(valid, norms, 1.0), -1.0
-        )
-        index = int(np.argmax(errors))
-        best = samples[index].copy()
-        best_error = float(errors[index])
-        best, best_error = _refine(error_of, best, best_error, refine_steps)
+    errors = errors_of(samples)
+    index = int(np.argmax(errors))  # sample 0, at zero error, if every image vanishes
+    best, best_error = _refine(errors_of, samples[index], max(errors[index], 0.0), refine_steps)
     raw_coeffs = analysis.dictionary_basis @ best
     return OracleResult(
-        max_error=best_error,
+        max_error=float(best_error),
         argmax_coeffs=raw_coeffs,
         n_samples=n_samples,
-        n_excluded=n_excluded,
+        n_excluded=int(np.count_nonzero(errors < 0)),
     )
 
 
-def _refine(error_of, point, value, max_steps, step=1e-3, fd_step=1e-6):
+def _refine(errors_of, point, value, max_steps, step=1e-3, fd_step=1e-6):
     """Projected gradient ascent on the unit sphere, shrink-on-fail."""
     n = point.shape[0]
+    bumps = fd_step * np.eye(n)
     for _ in range(max_steps):
-        gradient = np.zeros(n)
-        for i in range(n):
-            bump = np.zeros(n)
-            bump[i] = fd_step
-            up = (point + bump) / np.linalg.norm(point + bump)
-            down = (point - bump) / np.linalg.norm(point - bump)
-            e_up, e_down = error_of(up), error_of(down)
-            if e_up is None or e_down is None:
-                return point, value
-            gradient[i] = (e_up - e_down) / (2 * fd_step)
+        probes = np.vstack([point + bumps, point - bumps])
+        probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+        probe_errors = errors_of(probes)
+        if np.any(probe_errors < 0):
+            return point, value
+        gradient = (probe_errors[:n] - probe_errors[n:]) / (2 * fd_step)
         gradient -= (gradient @ point) * point
         norm = np.linalg.norm(gradient)
         if norm < 1e-14:
             break
         candidate = point + step * gradient / norm
         candidate /= np.linalg.norm(candidate)
-        cand_value = error_of(candidate)
-        if cand_value is not None and cand_value > value:
+        cand_value = float(errors_of(candidate[None])[0])
+        if cand_value > value:
             point, value = candidate, cand_value
         else:
             step *= 0.5
             if step < 1e-12:
                 break
     return point, value
+
+
+def _simulate(model, dynamics, starts, horizon):
+    """Percent errors ``(n_starts, horizon)`` and, per start, the step at
+    which its evaluated dictionary vanished (0: never); from that step on
+    the trajectory is left out of the batch and not evaluated again."""
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    state = np.atleast_2d(np.asarray(starts, dtype=float))
+    errors = np.zeros((state.shape[0], horizon))
+    vanished = np.zeros(state.shape[0], dtype=int)
+    live = np.arange(state.shape[0])
+    prediction = model.eval_basis(state)
+    for k in range(1, horizon + 1):
+        state = np.atleast_2d(dynamics(state))
+        prediction = prediction @ model.k_approx.T
+        truth = model.eval_basis(state)
+        truth_norm = np.linalg.norm(truth, axis=1)
+        gone = truth_norm < 1e-14
+        vanished[live[gone]] = k
+        live, state, prediction, truth, truth_norm = (
+            a[~gone] for a in (live, state, prediction, truth, truth_norm))
+        errors[live, k - 1] = 100.0 * np.linalg.norm(truth - prediction, axis=1) / truth_norm
+    return errors, vanished
+
+
+def trajectory_errors(model, dynamics, starts, horizon):
+    """Percent prediction errors (as in :func:`trajectory_error`) from each
+    of ``starts``, simulated as one ``(n, d)`` state array per step.
+
+    Returns ``(errors, kept)``: one row of errors per kept start, in start
+    order; a start whose evaluated dictionary vanishes is not kept.
+    """
+    errors, vanished = _simulate(model, dynamics, starts, horizon)
+    return errors[vanished == 0], vanished == 0
 
 
 def trajectory_error(model, dynamics, x0, horizon):
@@ -552,17 +571,7 @@ def trajectory_error(model, dynamics, x0, horizon):
     matrix. Errors are Euclidean norms of evaluated vectors, in percent. The
     error at step 0 is identically zero and not reported.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    state = np.asarray(x0, dtype=float).reshape(1, -1)
-    prediction = model.eval_basis(state)[0]
-    errors = np.empty(horizon)
-    for k in range(1, horizon + 1):
-        state = np.atleast_2d(dynamics(state))
-        prediction = model.k_approx @ prediction
-        truth = model.eval_basis(state)[0]
-        truth_norm = np.linalg.norm(truth)
-        if truth_norm < 1e-14:
-            raise ZeroNorm(f"evaluated dictionary vanished at step {k}")
-        errors[k - 1] = 100.0 * np.linalg.norm(truth - prediction) / truth_norm
-    return errors
+    errors, vanished = _simulate(model, dynamics, np.reshape(x0, (1, -1)), horizon)
+    if vanished[0]:
+        raise ZeroNorm(f"evaluated dictionary vanished at step {vanished[0]}")
+    return errors[0]

@@ -25,6 +25,7 @@ function at the successor snapshots.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -345,8 +346,10 @@ def _snapshot_header(state_dim):
 def read_snapshots(path):
     """Read snapshot pairs from CSV with header ``x1,..,xn,y1,..,yn``.
 
-    Rows with the wrong number of fields or non-numeric entries are rejected
-    with the offending line number.
+    The rows are parsed by one ``np.loadtxt`` call. If it refuses them, or
+    finds no rows or the wrong width, they are read again row by row, so
+    rows with the wrong number of fields or non-numeric entries are rejected
+    with the offending line number. Returns C-contiguous X and Y.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -362,23 +365,38 @@ def read_snapshots(path):
             raise ValueError(
                 f"{path}: bad header {header!r}, expected {_snapshot_header(n)!r}"
             )
-        xs, ys = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2 * n:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {2 * n} fields, got {len(row)}"
-                )
-            try:
-                numbers = [float(cell) for cell in row]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            xs.append(numbers[:n])
-            ys.append(numbers[n:])
-    if not xs:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no data rows
+                data = np.loadtxt(handle, delimiter=",", comments=None,
+                                  quotechar='"', ndmin=2)
+        except ValueError:
+            data = np.empty((0, 0))
+        if data.shape[0] == 0 or data.shape[1] != 2 * n:
+            handle.seek(0)
+            reader = csv.reader(handle)
+            next(reader)
+            data = _read_rows(path, reader, n)
+    return np.ascontiguousarray(data[:, :n]), np.ascontiguousarray(data[:, n:])
+
+
+def _read_rows(path, reader, n):
+    """Snapshot rows parsed one at a time, naming the first bad line."""
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2 * n:
+            raise ValueError(
+                f"{path}:{lineno}: expected {2 * n} fields, got {len(row)}"
+            )
+        try:
+            rows.append([float(cell) for cell in row])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if not rows:
         raise ValueError(f"{path}: no snapshot rows")
-    return np.array(xs), np.array(ys)
+    return np.array(rows)
 
 
 def write_snapshots(path, snapshots_x, snapshots_y):

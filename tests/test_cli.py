@@ -5,7 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from invprox import DynamicsMap, QuadratureSpace, Domain, write_snapshots
+from invprox import DynamicsMap, Expr, QuadratureSpace, Domain, write_snapshots
 from invprox.cli import CONFIG_SCHEMA, main
 
 from conftest import DICTIONARIES, DYNAMICS_SOURCES
@@ -79,6 +79,27 @@ class TestProximityCommand:
         assert code == 2
         assert ("config schema violation at <root>: Additional properties are "
                 "not allowed ('quadorder' was unexpected)") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["rank_tol", "quad_tol"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_tolerance_rejected(self, tmp_path, capsys, key, literal):
+        # json reads all four as floats, and NaN passes exclusiveMinimum
+        config = base_config(DICTIONARIES["S2"])
+        config["tolerances"][key] = 12345.5
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config).replace("12345.5", literal))
+        assert run(["proximity", "--config", path, "--out", tmp_path]) == 2
+        assert (f"configuration error: {path}: non-finite number {literal} is not "
+                "allowed") in capsys.readouterr().err
+        assert not (tmp_path / "proximity.json").exists()
+
+    @pytest.mark.parametrize("command", ["proximity", "table1"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.001"])
+    def test_rank_tol_flag_must_be_positive_and_finite(self, tmp_path, capsys,
+                                                       command, value):
+        config = ["--config", CONFIGS_DIR / "s2.json"] if command != "table1" else []
+        assert run([command, *config, "--out", tmp_path, "--rank-tol", value]) == 2
+        assert "--rank-tol must be positive and finite" in capsys.readouterr().err
 
     def test_bad_expression_rejected(self, tmp_path):
         config = base_config(DICTIONARIES["S1"])
@@ -255,6 +276,22 @@ class TestPredictCommand:
         assert run(["predict", "--config", write_config(tmp_path, config),
                     "--out", tmp_path]) == 3
         assert "NonFiniteValue: sqrt(x1+2.0) is non-finite (nan)" in capsys.readouterr().err
+
+    def test_expression_calls_are_batched(self, tmp_path, monkeypatch):
+        # one call per atom or dynamics component and step for all
+        # trajectories together; one trajectory at a time made 7512
+        calls = []
+        evaluate = Expr.__call__
+
+        def counting(self, points):
+            calls.append(len(points))
+            return evaluate(self, points)
+
+        monkeypatch.setattr(Expr, "__call__", counting)
+        assert run(["predict", "--config", CONFIGS_DIR / "s3.json",
+                    "--out", tmp_path]) == 0
+        m, d, horizon = 5, 2, 10
+        assert len(calls) <= 2 * m + d + (horizon + 1) * m + horizon * d  # 87
 
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invprox import (
     DegenerateSpace,
+    Domain,
     DynamicsMap,
     EmpiricalSpace,
     FunctionVec,
@@ -17,9 +19,10 @@ from invprox import (
     parse,
     proximity_oracle,
     trajectory_error,
+    trajectory_errors,
 )
 
-from conftest import gauss_legendre_2d
+from conftest import DYNAMICS_SOURCES, gauss_legendre_2d
 
 
 def _atoms(*sources):
@@ -259,6 +262,23 @@ class TestOracle:
         assert np.array_equal(a.argmax_coeffs, b.argmax_coeffs)
 
 
+_ORACLE_SPACE = QuadratureSpace(Domain(((-1.0, 1.0), (-1.0, 1.0))), 12)
+_ORACLE_DYNAMICS = DynamicsMap.from_strings(DYNAMICS_SOURCES, 2)
+_MONOMIALS = ("1", "x1", "x2", "x1^2", "x1*x2", "x2^2", "x1^3", "x1^2*x2", "x2^3")
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(subset=st.sets(st.sampled_from(_MONOMIALS), min_size=1),
+       seed=st.integers(0, 2**32 - 1))
+def test_oracle_never_exceeds_closed_form(subset, seed):
+    atoms = _atoms(*sorted(subset))
+    analysis = InvarianceAnalysis(atoms, _ORACLE_SPACE, _ORACLE_DYNAMICS,
+                                  check_quadrature=False)
+    result = proximity_oracle(atoms, _ORACLE_SPACE, n_samples=500, seed=seed,
+                              analysis=analysis)
+    assert 0.0 <= result.max_error <= analysis.proximity + 1e-8
+
+
 class TestResiduals:
     def test_invariant_subspace(self, quad, dynamics, dictionaries):
         analysis = InvarianceAnalysis(dictionaries["S1"], quad, dynamics)
@@ -351,7 +371,44 @@ class TestInvariances:
             assert abs(via_quad - via_snap) < 1e-6
 
 
+def _reference_trajectory_error(model, dynamics, x0, horizon):
+    """One trajectory advanced one row at a time (the per-start loop that
+    the batched simulation replaced)."""
+    state = np.asarray(x0, dtype=float).reshape(1, -1)
+    prediction = model.eval_basis(state)[0]
+    errors = np.empty(horizon)
+    for k in range(1, horizon + 1):
+        state = dynamics(state)
+        prediction = model.k_approx @ prediction
+        truth = model.eval_basis(state)[0]
+        errors[k - 1] = 100.0 * np.linalg.norm(truth - prediction) / np.linalg.norm(truth)
+    return errors
+
+
 class TestTrajectoryError:
+    def test_batch_matches_single_trajectories(self, quad, dynamics, dictionaries):
+        starts = np.random.default_rng(5).uniform(-1, 1, size=(100, 2))
+        for atoms in dictionaries.values():
+            model = build_model(atoms, quad, dynamics)
+            errors, kept = trajectory_errors(model, dynamics, starts, 10)
+            assert kept.all() and errors.shape == (100, 10)
+            for reference in (
+                np.vstack([trajectory_error(model, dynamics, x0, 10) for x0 in starts]),
+                np.vstack([_reference_trajectory_error(model, dynamics, x0, 10)
+                           for x0 in starts]),
+            ):
+                # relative 1e-12, but absolute 1e-12 percentage points below
+                # 1%: truth - prediction cancels there (S1 is all round-off)
+                assert np.all(np.abs(errors - reference) <= 1e-12 * np.maximum(reference, 1.0))
+
+    def test_vanishing_start_leaves_the_batch(self, quad, dynamics):
+        model = build_model(_atoms("x1"), quad, dynamics)
+        errors, kept = trajectory_errors(model, dynamics, [[0.0, 0.5], [0.3, 0.5]], 3)
+        assert kept.tolist() == [False, True]
+        alone, _ = trajectory_errors(model, dynamics, [[0.3, 0.5]], 3)
+        assert np.array_equal(errors, alone)
+
+
     def test_invariant_subspace_is_exact(self, quad, dynamics, dictionaries):
         model = build_model(dictionaries["S1"], quad, dynamics)
         rng = np.random.default_rng(7)
@@ -376,7 +433,7 @@ class TestTrajectoryError:
 
     def test_zero_norm_raises(self, quad, dynamics):
         model = build_model(_atoms("x1"), quad, dynamics)
-        with pytest.raises(ZeroNorm):
+        with pytest.raises(ZeroNorm, match="vanished at step 1$"):
             trajectory_error(model, dynamics, [0.0, 0.5], 3)
 
 

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -280,3 +283,31 @@ class TestSnapshotCSV:
         path.write_text("")
         with pytest.raises(ValueError):
             read_snapshots(path)
+
+    @pytest.mark.parametrize("body, expected", [
+        ("1,2,3,4\n\n5,6,7,8\n", [[1, 2, 3, 4], [5, 6, 7, 8]]),  # blank line
+        ('"1",2,"3",4\n', [[1, 2, 3, 4]]),                        # quoted cells
+        ("1_0,2,3,4\n", [[10, 2, 3, 4]]),                         # Python float syntax
+        (" 1 ,2,3,4\r\n5,6,7,8\r\n", [[1, 2, 3, 4], [5, 6, 7, 8]]),  # CRLF, spaces
+        ("1,2,3\n5,6,7\n", ":2: expected 4 fields, got 3"),     # uniform short rows
+        ("1,2,3,4,5\n", ":2: expected 4 fields, got 5"),         # uniform long rows
+        ("1,2,3,4\n#x\n", ":3: expected 4 fields, got 1"),      # '#' starts no comment
+        ("1,2,3,4 # c\n", ":2: could not convert string to float: '4 # c'"),
+        ("1,2,3,4\n   \n", ":3: expected 4 fields, got 1"),     # whitespace-only line
+        ("", ": no snapshot rows"),                              # header only
+        (None, ": empty snapshot file"),
+    ])
+    def test_reader_edge_cases(self, tmp_path, body, expected):
+        path = tmp_path / "snaps.csv"
+        path.write_text("" if body is None else "x1,x2,y1,y2\n" + body, newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(expected, str):
+                with pytest.raises(ValueError, match=re.escape(f"{path}{expected}")):
+                    read_snapshots(path)
+                return
+            X, Y = read_snapshots(path)
+        rows = np.array(expected, dtype=float)
+        for got, want in ((X, rows[:, :2]), (Y, rows[:, 2:])):
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert np.array_equal(got, want)
