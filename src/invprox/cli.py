@@ -220,9 +220,15 @@ def load_config(path):
             return value
         raise ConfigError(f"{path}: non-finite number {text} is not allowed")
 
+    def integer(text):  # int() refuses over 4300 digits; float() overflows
+        if np.isfinite(float(text)):
+            return int(text)
+        raise ConfigError(f"{path}: integer literal of {len(text.lstrip('-'))} "
+                          "digits is outside the double range")
+
     try:
         raw = json.loads(Path(path).read_text(), parse_float=finite,
-                         parse_constant=finite)
+                         parse_constant=finite, parse_int=integer)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:

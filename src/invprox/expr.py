@@ -3,7 +3,8 @@
 Expressions define dynamics components and dictionary functions. They are
 parsed once into an immutable AST and evaluated pointwise with IEEE double
 semantics: non-finite intermediate results (division by zero, log of a
-negative number, overflow) propagate to the caller instead of raising.
+negative number, overflow) propagate to the caller instead of raising. A
+list of expressions is evaluated as one program (``evaluate``).
 
 Grammar (also documented in the README):
 
@@ -21,6 +22,7 @@ contain negative coordinates.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -40,6 +42,7 @@ __all__ = [
     "DynamicsMap",
     "Composition",
     "parse",
+    "evaluate",
     "compose_with_map",
     "BUILTINS",
 ]
@@ -152,57 +155,91 @@ def _to_source(node):
 
 def _const_value(node):
     """Value of a variable-free subtree, or None if it references a variable."""
-    if isinstance(node, Const):
+    if isinstance(node, Const):  # the usual exponent; skips a program run
         return node.value
-    if isinstance(node, Var):
+    if any(key[0] == "x" for key in _compile([node])[0]):
         return None
-    if isinstance(node, Neg):
-        v = _const_value(node.operand)
-        return None if v is None else -v
-    if isinstance(node, Call):
-        v = _const_value(node.arg)
-        if v is None:
-            return None
-        with np.errstate(all="ignore"):
-            return float(BUILTINS[node.name](v))
-    a = _const_value(node.left)
-    b = _const_value(node.right)
-    if a is None or b is None:
-        return None
+    return float(evaluate((Expr(node, 1),), np.empty((1, 1)))[0, 0])
+
+
+_UFUNCS = {"neg": np.negative, **BUILTINS, "+": np.add, "-": np.subtract,
+           "*": np.multiply, "/": np.divide, "^": np.power}
+
+
+def _compile(roots):
+    """The distinct subtrees of ``roots`` as a program, children first, and
+    the step of each root.
+
+    Step k is ``("c", value, sign)``, ``("x", column, None)`` or ``(ufunc,
+    child step, child step or None)``. Child steps are numbered bottom-up, so
+    each node is hashed once as a small tuple, not with all its descendants.
+    """
+    program, steps = [], {}
+
+    def visit(node):
+        if isinstance(node, BinOp):
+            key = (_UFUNCS[node.op], visit(node.left), visit(node.right))
+        elif isinstance(node, Const):
+            value = float(node.value)  # 0.0 == -0.0, yet 1/x tells them apart
+            key = ("c", value, math.copysign(1.0, value))
+        elif isinstance(node, Var):
+            key = ("x", node.index - 1, None)
+        elif isinstance(node, Neg):
+            key = (_UFUNCS["neg"], visit(node.operand), None)
+        else:
+            key = (_UFUNCS[node.name], visit(node.arg), None)
+        step = steps.get(key)
+        if step is None:
+            step = steps[key] = len(program)
+            program.append(key)
+        return step
+
+    roots = [visit(root) for root in roots]
+    del visit  # its closure refers to itself: a cycle only gc would free
+    return program, roots
+
+
+def evaluate(exprs, points):
+    """Values of each expression at each of the ``(n, d)`` points, shape
+    ``(len(exprs), n)``.
+
+    The expressions run as one program: each distinct subtree is evaluated
+    once per call, with the same ufunc on the same operands as a
+    node-by-node evaluation, so the values are identical. Constant subtrees
+    stay scalars. Each value is released after its last use.
+    """
+    pts = np.asarray(points, dtype=float)
+    for e in exprs:
+        if pts.ndim != 2 or pts.shape[1] != e.state_dim:
+            raise ValueError(
+                f"expected points of dimension {e.state_dim}, got shape {pts.shape}"
+            )
+    program, roots = _compile([e.root for e in exprs])
+    last_use, rows = {}, {}
+    for step, (op, a, b) in enumerate(program):
+        if not isinstance(op, str):
+            last_use[a] = last_use[b] = step
+    last_use.pop(None, None)  # the missing operand of a one-operand step
+    for row, step in enumerate(roots):
+        rows.setdefault(step, []).append(row)
+    out = np.empty((len(exprs), pts.shape[0]))
+    values = [None] * len(program)
     with np.errstate(all="ignore"):
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return float(np.divide(a, b))
-        return float(np.power(a, b))
-
-
-def _eval_node(node, columns, n_points):
-    """Vectorized evaluation; `columns[k]` holds variable x(k+1) at all points."""
-    if isinstance(node, Const):
-        return np.full(n_points, float(node.value))
-    if isinstance(node, Var):
-        return columns[node.index - 1]
-    if isinstance(node, Neg):
-        return -_eval_node(node.operand, columns, n_points)
-    if isinstance(node, Call):
-        return BUILTINS[node.name](_eval_node(node.arg, columns, n_points))
-    left = _eval_node(node.left, columns, n_points)
-    if node.op == "^":
-        # exponent is constant by parse-time validation; fold it once
-        return np.power(left, _const_value(node.right))
-    right = _eval_node(node.right, columns, n_points)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    return np.divide(left, right)
+        for step, (op, a, b) in enumerate(program):
+            if op == "c":
+                value = a
+            elif op == "x":
+                value = pts[:, a]
+            else:
+                value = op(values[a]) if b is None else op(values[a], values[b])
+                for child in (a, b):
+                    if last_use.get(child) == step:
+                        values[child] = None
+            for row in rows.get(step, ()):
+                out[row] = value
+            if step in last_use:
+                values[step] = value
+    return out
 
 
 # --- Public expression objects -----------------------------------------------
@@ -212,8 +249,8 @@ class Expr:
     """A parsed expression over ``state_dim`` variables.
 
     Immutable after construction; safe to evaluate concurrently. Calling the
-    object with an ``(m, n)`` array of points returns the ``m`` values; a
-    single point of shape ``(n,)`` returns a scalar.
+    object with an ``(m, n)`` array of points returns the ``m`` values as a
+    new array; a single point of shape ``(n,)`` returns a scalar.
     """
 
     root: Node
@@ -221,17 +258,8 @@ class Expr:
 
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts.reshape(1, -1)
-        if pts.ndim != 2 or pts.shape[1] != self.state_dim:
-            raise ValueError(
-                f"expected points of dimension {self.state_dim}, got shape {pts.shape}"
-            )
-        columns = [pts[:, k] for k in range(self.state_dim)]
-        with np.errstate(all="ignore"):
-            values = _eval_node(self.root, columns, pts.shape[0])
-        return float(values[0]) if single else values
+        values = evaluate((self,), pts.reshape(1, -1) if pts.ndim == 1 else pts)[0]
+        return float(values[0]) if pts.ndim == 1 else values
 
     def eval(self, point):
         """Evaluate at one point (length-n sequence); returns a float."""
@@ -263,11 +291,8 @@ class DynamicsMap:
 
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts.reshape(1, -1)
-        out = np.column_stack([c(pts) for c in self.components])
-        return out[0] if single else out
+        out = evaluate(self.components, pts.reshape(1, -1) if pts.ndim == 1 else pts).T
+        return out[0] if pts.ndim == 1 else out
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.components) + ")"

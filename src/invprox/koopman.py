@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import DegenerateSpace, PrincipalDecomposition, SubspaceBasis, principal_angles
-from .space import NonFiniteValue, QuadratureSpace, _atom_label
+from .space import QuadratureSpace, _evaluate_atoms
 
 __all__ = [
     "InconsistentSystem",
@@ -63,14 +63,9 @@ class ZeroNorm(ValueError):
 
 
 def _atom_values(atoms, points):
-    """Point-major atom values, shape (n_points, n_atoms); raises
-    NonFiniteValue naming the first state and atom with an inf/nan value."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    values = np.column_stack([np.asarray(a(pts), dtype=float) for a in atoms])
-    if not np.isfinite(values).all():
-        row, col = np.argwhere(~np.isfinite(values))[0]
-        raise NonFiniteValue(_atom_label(atoms[col], col), pts[row], values[row, col])
-    return values
+    """Point-major atom values, shape (n_points, n_atoms), C-contiguous;
+    raises NonFiniteValue naming the first state and atom with an inf/nan."""
+    return _evaluate_atoms(atoms, np.atleast_2d(points), point_major=True)
 
 
 @dataclass(frozen=True)

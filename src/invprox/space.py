@@ -11,9 +11,10 @@ Two backends realize ``<f, g>`` for evaluable functions:
   default to ``1/N``; explicit weights allow e.g. folding a quadrature rule
   into the snapshot set, which makes the two backends agree exactly.
 
-Both backends evaluate every function once per node into an atom-major
-array (one contiguous row per function). ``koopman_factor`` folds those of
-the dictionary and its images, scaled by ``sqrt(w)``, into a QR factor;
+Both backends evaluate a dictionary as one program, each distinct subtree
+once per node set, into an atom-major array (one contiguous row per atom).
+``koopman_factor`` folds those of the dictionary and its images, scaled by
+``sqrt(w)``, into a QR factor;
 ``gram``, ``inner_product`` and ``koopman_gram_blocks`` sum each Gram entry
 ``w * (v_i * v_j)`` along its row, in a reused product buffer of at most
 2**16 elements (one row if there are more nodes), so repeated runs are
@@ -29,6 +30,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .expr import Expr, evaluate
 
 __all__ = [
     "NonFiniteValue",
@@ -127,23 +130,36 @@ def _atom_label(atom, i):
         return f"atom{i}"
 
 
-def _evaluate_atoms(atoms, points, labels=None):
-    """Atom-major evaluation with finiteness check; returns (n_atoms, n_points)."""
+def _evaluate_atoms(atoms, points, label=_atom_label, point_major=False):
+    """Values of the atoms at the points, shape (n_atoms, n_points), or the
+    C-contiguous (n_points, n_atoms) if ``point_major``.
+
+    The Expr atoms run as one program (``expr.evaluate``); any other
+    evaluable is called on its own. A NonFiniteValue names ``label(atom, i)``
+    and the first atom and point with an inf/nan value, in layout order.
+    """
     points = np.asarray(points, dtype=float)
-    if labels is None:
-        labels = [_atom_label(a, i) for i, a in enumerate(atoms)]
-    rows = []
-    for atom, label in zip(atoms, labels):
-        values = np.asarray(atom(points), dtype=float).reshape(-1)
-        if values.shape[0] != points.shape[0]:
-            raise ValueError(f"{label} returned {values.shape[0]} values for "
-                             f"{points.shape[0]} points")
-        bad = ~np.isfinite(values)
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise NonFiniteValue(label, points[j], values[j])
-        rows.append(values)
-    return np.stack(rows), labels
+    exprs = [i for i, atom in enumerate(atoms) if isinstance(atom, Expr)]
+    if len(exprs) == len(atoms):
+        values = evaluate(atoms, points)
+    else:
+        values = np.empty((len(atoms), points.shape[0]))
+        values[exprs] = evaluate([atoms[i] for i in exprs], points)
+        for i, atom in enumerate(atoms):
+            if isinstance(atom, Expr):
+                continue
+            row = np.asarray(atom(points), dtype=float).reshape(-1)
+            if row.shape[0] != points.shape[0]:
+                raise ValueError(f"{label(atom, i)} returned {row.shape[0]} values "
+                                 f"for {points.shape[0]} points")
+            values[i] = row
+    if point_major:
+        values = np.ascontiguousarray(values.T)
+    if not np.isfinite(values).all():
+        first = np.argwhere(~np.isfinite(values))[0]
+        j, i = first if point_major else first[::-1]
+        raise NonFiniteValue(label(atoms[i], i), points[j], values[tuple(first)])
+    return values
 
 
 def _weighted_gram(values, weights, other=None):
@@ -182,7 +198,7 @@ class _InnerProductBackend:
 
     def inner_product(self, f, g):
         """<f, g> = sum_k w_k f(p_k) g(p_k); raises NonFiniteValue on inf/nan."""
-        values, _ = _evaluate_atoms((f, g), self.nodes)
+        values = _evaluate_atoms((f, g), self.nodes)
         return float(_weighted_gram(values[:1], self.weights, values[1:])[0, 0])
 
     def norm(self, f):
@@ -193,10 +209,12 @@ class _InnerProductBackend:
         atoms = tuple(atoms)
         if not atoms:
             raise ValueError("atom list must be nonempty")
-        values, labels = _evaluate_atoms(atoms, self.nodes, labels)
+        if labels is None:
+            labels = [_atom_label(a, i) for i, a in enumerate(atoms)]
+        values = _evaluate_atoms(atoms, self.nodes, lambda atom, i: labels[i])
         return GramMatrix(_weighted_gram(values, self.weights), tuple(labels))
 
-    def _image_values(self, atoms, labels, dynamics):
+    def _image_points(self, dynamics):
         raise NotImplementedError
 
     def _koopman_values(self, atoms, dynamics):
@@ -204,9 +222,9 @@ class _InnerProductBackend:
         atoms = tuple(atoms)
         if not atoms:
             raise ValueError("atom list must be nonempty")
-        labels = [_atom_label(a, i) for i, a in enumerate(atoms)]
-        values, _ = _evaluate_atoms(atoms, self.nodes, labels)
-        return values, self._image_values(atoms, labels, dynamics)
+        return (_evaluate_atoms(atoms, self.nodes),
+                _evaluate_atoms(atoms, self._image_points(dynamics),
+                                lambda atom, i: f"({_atom_label(atom, i)}) o T"))
 
     def koopman_gram_blocks(self, atoms, dynamics=None):
         """Gram blocks of the concatenated list [Psi, K Psi].
@@ -270,12 +288,10 @@ class QuadratureSpace(_InnerProductBackend):
         """Same domain at ``factor`` times the order, rounded up."""
         return QuadratureSpace(self.domain, int(np.ceil(factor * self.order)))
 
-    def _image_values(self, atoms, labels, dynamics):
+    def _image_points(self, dynamics):
         if dynamics is None:
             raise ValueError("quadrature backend needs the dynamics map to form K Psi")
-        mapped = dynamics(self.nodes)
-        image, _ = _evaluate_atoms(atoms, mapped, [f"({s}) o T" for s in labels])
-        return image
+        return dynamics(self.nodes)
 
     def __repr__(self):
         return f"QuadratureSpace(domain={self.domain.bounds}, order={self.order})"
@@ -320,15 +336,13 @@ class EmpiricalSpace(_InnerProductBackend):
         X, Y = read_snapshots(path)
         return cls(X, Y, weights)
 
-    def _image_values(self, atoms, labels, dynamics):
+    def _image_points(self, dynamics):
         if dynamics is not None:
             raise ValueError(
                 "empirical backend computes K Psi from successor snapshots; "
                 "do not pass a dynamics map"
             )
-        image, _ = _evaluate_atoms(atoms, self.snapshots_y,
-                                   [f"({s}) o T" for s in labels])
-        return image
+        return self.snapshots_y
 
     def __repr__(self):
         return (f"EmpiricalSpace(n={self.n_snapshots}, "

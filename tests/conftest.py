@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -49,3 +52,13 @@ def gauss_legendre_2d(f, order, bounds=((-1.0, 1.0), (-1.0, 1.0))):
             wj = 0.5 * (b2 - a2) * w[j]
             total += wi * wj * f(x, y)
     return total
+
+
+def sweep_atoms(basis, degree):
+    """The dict-sweep benchmark's dictionary (``bench/workloads.py``):
+    monomials or Legendre products of total degree <= ``degree``."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return tuple(parse(s, 2) for s in workloads.sweep_dictionary(basis, degree))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from invprox import DynamicsMap, Expr, QuadratureSpace, Domain, write_snapshots
-from invprox.cli import CONFIG_SCHEMA, main
+from invprox.cli import CONFIG_SCHEMA, load_config, main
 
 from conftest import DICTIONARIES, DYNAMICS_SOURCES
 
@@ -92,6 +92,30 @@ class TestProximityCommand:
         assert (f"configuration error: {path}: non-finite number {literal} is not "
                 "allowed") in capsys.readouterr().err
         assert not (tmp_path / "proximity.json").exists()
+
+    @pytest.mark.parametrize("key", ["rank_tol", "quad_tol", "state_dim"])
+    @pytest.mark.parametrize("digits", [401, 5000])
+    def test_integer_outside_double_range_rejected(self, tmp_path, capsys, key, digits):
+        # 401 digits overflow float(); 5000 also exceed int()'s 4300-digit limit
+        config = base_config(DICTIONARIES["S2"])
+        (config if key == "state_dim" else config["tolerances"])[key] = 12345
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config).replace("12345", "1" + "0" * (digits - 1)))
+        assert run(["proximity", "--config", path, "--out", tmp_path]) == 2
+        assert (f"configuration error: {path}: integer literal of {digits} digits "
+                "is outside the double range") in capsys.readouterr().err
+        assert not (tmp_path / "proximity.json").exists()
+
+    @pytest.mark.parametrize("key", ["state_dim", "order"])
+    def test_integer_keys_stay_integers(self, tmp_path, capsys, key):
+        config = base_config(DICTIONARIES["S2"])
+        loaded = load_config(write_config(tmp_path, config))
+        assert type(loaded["state_dim"]) is int and type(loaded["backend"]["order"]) is int
+        (config if key == "state_dim" else config["backend"])[key] = 2.5
+        assert run(["proximity", "--config", write_config(tmp_path, config),
+                    "--out", tmp_path]) == 2
+        assert f"config schema violation at {'backend/' * (key == 'order')}{key}" \
+            in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["proximity", "table1"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.001"])

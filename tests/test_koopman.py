@@ -9,6 +9,7 @@ from invprox import (
     EmpiricalSpace,
     FunctionVec,
     InvarianceAnalysis,
+    NonFiniteValue,
     ZeroImage,
     ZeroNorm,
     build_model,
@@ -22,7 +23,10 @@ from invprox import (
     trajectory_errors,
 )
 
-from conftest import DYNAMICS_SOURCES, gauss_legendre_2d
+from invprox.koopman import _atom_values
+from invprox.space import _atom_label
+
+from conftest import DYNAMICS_SOURCES, gauss_legendre_2d, sweep_atoms
 
 
 def _atoms(*sources):
@@ -41,6 +45,40 @@ def _sweep_dictionary(basis, degree):
 
     return _atoms(*(f"{factor('x1', i)}*{factor('x2', j)}"
                     for i in range(degree + 1) for j in range(degree + 1 - i)))
+
+
+def _column_stack_atom_values(atoms, points):
+    """Point-major values one atom at a time, as _atom_values was (reference)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    values = np.column_stack([np.asarray(a(pts), dtype=float) for a in atoms])
+    if not np.isfinite(values).all():
+        row, col = np.argwhere(~np.isfinite(values))[0]
+        raise NonFiniteValue(_atom_label(atoms[col], col), pts[row], values[row, col])
+    return values
+
+
+class TestAtomValues:
+    def test_matches_column_stack_bitwise(self, dynamics, dictionaries):
+        points = np.random.default_rng(4).uniform(-1, 1, size=(257, 2))
+        s3 = dictionaries["S3"]
+        mixed = s3 + (FunctionVec([1.0, -2.0], s3[1:3]), compose_with_map(s3[3], dynamics))
+        for atoms in (s3, sweep_atoms("legendre", 8), mixed):
+            for pts in (points, points[0]):
+                got, want = _atom_values(atoms, pts), _column_stack_atom_values(atoms, pts)
+                assert got.flags.c_contiguous and got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_non_finite_names_the_first_state_then_atom(self):
+        # log(x2) fails first in atom order, sqrt(x1) at the earlier state
+        atoms = _atoms("1", "log(x2)", "sqrt(x1)")
+        points = np.array([[0.5, 0.5], [-1.0, 0.5], [0.5, -1.0]])
+        with pytest.raises(NonFiniteValue) as want:
+            _column_stack_atom_values(atoms, points)
+        with pytest.raises(NonFiniteValue) as got:
+            _atom_values(atoms, points)
+        assert str(got.value) == str(want.value)
+        assert got.value.label == "sqrt(x1)"
+        assert np.array_equal(got.value.point, [-1.0, 0.5])
 
 
 class TestBuildModel:

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,9 @@ from invprox import (
     write_snapshots,
 )
 
-from conftest import gauss_legendre_2d
+from invprox.space import _evaluate_atoms
+
+from conftest import gauss_legendre_2d, sweep_atoms
 
 
 def _atoms(*sources, n=2):
@@ -146,6 +149,19 @@ class TestQuadrature:
         assert info.value.point.shape == (2,)
         assert info.value.point[0] < 0  # log of a negative coordinate
 
+    def test_evaluation_memory_is_bounded(self, box):
+        # all rows plus np.stack's copy of them peaked at 1.97x the output
+        atoms = sweep_atoms("legendre", 10)
+        nodes = QuadratureSpace(box, 300).nodes
+        tracemalloc.start()
+        try:
+            values = _evaluate_atoms(atoms, nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (66, 90000)
+        assert peak <= 1.5 * values.nbytes
+
     def test_refined(self, quad):
         assert quad.refined(2).order == 40
         # the convergence check halves the order, rounding up
@@ -227,6 +243,31 @@ class TestEmpirical:
         space = EmpiricalSpace([[0.0, 0.0]], [[0.0, 0.0]])
         with pytest.raises(ValueError):
             space.koopman_gram_blocks(_atoms("x1"), dynamics)
+
+    def test_atoms_are_named_only_on_failure(self):
+        space = EmpiricalSpace([[1.0, 1.0], [2.0, 2.0]], [[0.0, 1.0], [1.0, 1.0]])
+        image_label = "(1.0/x1) o T is non-finite (inf) at point [0. 1.]"
+        with pytest.raises(NonFiniteValue, match=re.escape(image_label)):
+            space.koopman_factor(_atoms("x2", "1/x1"))
+
+        class Ones:
+            def __init__(self, n):
+                self.n, self.labels = n, 0
+
+            def __call__(self, points):
+                return np.ones(self.n)
+
+            def __str__(self):
+                self.labels += 1
+                return f"ones({self.n})"
+
+        ones = Ones(2)
+        space.koopman_factor((ones, parse("x1", 2)))
+        assert ones.labels == 0
+        wrong_length = "ones(3) returned 3 values for 2 points"
+        with pytest.raises(ValueError, match=re.escape(wrong_length)):
+            space.koopman_factor((ones, Ones(3)))
+        assert space.gram((ones, parse("x1", 2))).atom_labels == ("ones(2)", "x1")
 
     def test_validation(self):
         with pytest.raises(ValueError):
