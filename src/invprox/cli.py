@@ -237,6 +237,7 @@ def load_config(path):
     if error is not None:
         location = "/".join(str(p) for p in error.absolute_path) or "<root>"
         raise ConfigError(f"config schema violation at {location}: {error.message}") from error
+    _coerce_integers(CONFIG_SCHEMA, raw)
     config = dict(raw)
     for section, defaults in _DEFAULTS.items():
         merged = dict(defaults)
@@ -246,6 +247,18 @@ def load_config(path):
     if len(config["domain"]) != config["state_dim"]:
         raise ConfigError("domain must list one interval per state dimension")
     return config
+
+
+def _coerce_integers(schema, value):
+    """Turn the validated values of ``"type": "integer"`` keys into ints, in
+    place: JSON Schema counts 100.0 as an integer, range() and numpy do not."""
+    for key, sub in schema.get("properties", {}).items():
+        if key not in value:
+            continue
+        if sub.get("type") == "integer":
+            value[key] = int(value[key])
+        elif sub.get("type") == "object":
+            _coerce_integers(sub, value[key])
 
 
 def _parse_dictionary(config):

@@ -4,7 +4,8 @@ Expressions define dynamics components and dictionary functions. They are
 parsed once into an immutable AST and evaluated pointwise with IEEE double
 semantics: non-finite intermediate results (division by zero, log of a
 negative number, overflow) propagate to the caller instead of raising. A
-list of expressions is evaluated as one program (``evaluate``).
+list of expressions is compiled once into one program (``compile``) and
+then evaluated at any number of point sets.
 
 Grammar (also documented in the README):
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -42,6 +44,8 @@ __all__ = [
     "DynamicsMap",
     "Composition",
     "parse",
+    "Program",
+    "compile",
     "evaluate",
     "compose_with_map",
     "BUILTINS",
@@ -199,47 +203,81 @@ def _compile(roots):
     return program, roots
 
 
-def evaluate(exprs, points):
-    """Values of each expression at each of the ``(n, d)`` points, shape
-    ``(len(exprs), n)``.
+@dataclass(frozen=True, eq=False)
+class Program:
+    """A list of expressions compiled once by :func:`compile`.
 
-    The expressions run as one program: each distinct subtree is evaluated
-    once per call, with the same ufunc on the same operands as a
-    node-by-node evaluation, so the values are identical. Constant subtrees
-    stay scalars. Each value is released after its last use.
+    ``program(points, out=None)`` writes the value of expression i at point
+    k to ``out[i, k]`` and returns ``out`` (a new ``(len(exprs), n)`` array
+    if none is given; any writable array of that shape works, e.g. the
+    transposed view of a point-major buffer). Step k of ``steps`` is ``(op,
+    a, b, release, rows, keep)``: the ``_compile`` step, the steps whose
+    last use it is, the output rows it fills, and whether a later step
+    reads it.
     """
-    pts = np.asarray(points, dtype=float)
-    for e in exprs:
-        if pts.ndim != 2 or pts.shape[1] != e.state_dim:
-            raise ValueError(
-                f"expected points of dimension {e.state_dim}, got shape {pts.shape}"
-            )
+
+    steps: tuple
+    state_dims: tuple
+    n_out: int
+
+    def __call__(self, points, out=None):
+        pts = np.asarray(points, dtype=float)
+        for dim in self.state_dims:
+            if pts.ndim != 2 or pts.shape[1] != dim:
+                raise ValueError(
+                    f"expected points of dimension {dim}, got shape {pts.shape}"
+                )
+        if out is None:
+            out = np.empty((self.n_out, pts.shape[0]))
+        values = [None] * len(self.steps)
+        with np.errstate(all="ignore"):
+            for step, (op, a, b, release, rows, keep) in enumerate(self.steps):
+                if op == "c":
+                    value = a
+                elif op == "x":
+                    value = pts[:, a]
+                else:
+                    value = op(values[a]) if b is None else op(values[a], values[b])
+                    for child in release:
+                        values[child] = None
+                for row in rows:
+                    out[row] = value
+                if keep:
+                    values[step] = value
+        return out
+
+
+def compile(exprs):
+    """The expressions as one :class:`Program`.
+
+    Each distinct subtree is evaluated once per call, with the same ufunc on
+    the same operands as a node-by-node evaluation, so the values are
+    identical. Constant subtrees stay scalars. Each value is released after
+    its last use, so a call holds the ``(n, d)`` points, the output and the
+    live subtree values: ``n * (d + live) * 8`` bytes besides the output.
+    """
+    exprs = tuple(exprs)
     program, roots = _compile([e.root for e in exprs])
     last_use, rows = {}, {}
     for step, (op, a, b) in enumerate(program):
         if not isinstance(op, str):
             last_use[a] = last_use[b] = step
     last_use.pop(None, None)  # the missing operand of a one-operand step
+    release = {}
+    for child, step in last_use.items():
+        release.setdefault(step, []).append(child)
     for row, step in enumerate(roots):
         rows.setdefault(step, []).append(row)
-    out = np.empty((len(exprs), pts.shape[0]))
-    values = [None] * len(program)
-    with np.errstate(all="ignore"):
-        for step, (op, a, b) in enumerate(program):
-            if op == "c":
-                value = a
-            elif op == "x":
-                value = pts[:, a]
-            else:
-                value = op(values[a]) if b is None else op(values[a], values[b])
-                for child in (a, b):
-                    if last_use.get(child) == step:
-                        values[child] = None
-            for row in rows.get(step, ()):
-                out[row] = value
-            if step in last_use:
-                values[step] = value
-    return out
+    steps = tuple((op, a, b, tuple(release.get(step, ())), tuple(rows.get(step, ())),
+                   step in last_use)
+                  for step, (op, a, b) in enumerate(program))
+    return Program(steps, tuple(dict.fromkeys(e.state_dim for e in exprs)), len(exprs))
+
+
+def evaluate(exprs, points):
+    """Values of each expression at each of the ``(n, d)`` points, shape
+    ``(len(exprs), n)``: ``compile(exprs)(points)``."""
+    return compile(exprs)(points)
 
 
 # --- Public expression objects -----------------------------------------------
@@ -256,9 +294,13 @@ class Expr:
     root: Node
     state_dim: int
 
+    @cached_property
+    def _program(self):
+        return compile((self,))
+
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)
-        values = evaluate((self,), pts.reshape(1, -1) if pts.ndim == 1 else pts)[0]
+        values = self._program(pts.reshape(1, -1) if pts.ndim == 1 else pts)[0]
         return float(values[0]) if pts.ndim == 1 else values
 
     def eval(self, point):
@@ -289,9 +331,13 @@ class DynamicsMap:
     def from_strings(cls, sources, state_dim):
         return cls(state_dim, tuple(parse(s, state_dim) for s in sources))
 
+    @cached_property
+    def _program(self):
+        return compile(self.components)
+
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)
-        out = evaluate(self.components, pts.reshape(1, -1) if pts.ndim == 1 else pts).T
+        out = self._program(pts.reshape(1, -1) if pts.ndim == 1 else pts).T
         return out[0] if pts.ndim == 1 else out
 
     def __str__(self):

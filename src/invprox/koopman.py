@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .geometry import DegenerateSpace, PrincipalDecomposition, SubspaceBasis, principal_angles
-from .space import QuadratureSpace, _evaluate_atoms
+from .space import QuadratureSpace, _AtomProgram
 
 __all__ = [
     "InconsistentSystem",
@@ -64,8 +65,9 @@ class ZeroNorm(ValueError):
 
 def _atom_values(atoms, points):
     """Point-major atom values, shape (n_points, n_atoms), C-contiguous;
-    raises NonFiniteValue naming the first state and atom with an inf/nan."""
-    return _evaluate_atoms(atoms, np.atleast_2d(points), point_major=True)
+    raises NonFiniteValue naming the first state and atom with an inf/nan.
+    FunctionVec and KoopmanModel hold their compiled ``_AtomProgram``."""
+    return _AtomProgram(atoms).values(points, point_major=True)
 
 
 @dataclass(frozen=True)
@@ -82,8 +84,12 @@ class FunctionVec:
         if len(self.atoms) != c.shape[0]:
             raise ValueError("one coefficient per atom required")
 
+    @cached_property
+    def _program(self):
+        return _AtomProgram(self.atoms)
+
     def __call__(self, points):
-        return _atom_values(self.atoms, points) @ self.coeffs
+        return self._program.values(points, point_major=True) @ self.coeffs
 
     def eval(self, point):
         return float(self(np.asarray(point, dtype=float).reshape(1, -1))[0])
@@ -113,9 +119,13 @@ class KoopmanModel:
     def dim(self):
         return self.k_approx.shape[0]
 
+    @cached_property
+    def _program(self):
+        return _AtomProgram(self.atoms)
+
     def eval_basis(self, points):
         """Orthonormal basis functions evaluated at points, shape (m, dim)."""
-        return _atom_values(self.atoms, points) @ self.basis
+        return self._program.values(points, point_major=True) @ self.basis
 
     def predict_coeffs(self, coeffs, steps=1):
         """Coefficients of the predicted image after ``steps`` applications.

@@ -11,11 +11,13 @@ Two backends realize ``<f, g>`` for evaluable functions:
   default to ``1/N``; explicit weights allow e.g. folding a quadrature rule
   into the snapshot set, which makes the two backends agree exactly.
 
-Both backends evaluate a dictionary as one program, each distinct subtree
-once per node set, into an atom-major array (one contiguous row per atom).
-``koopman_factor`` folds those of the dictionary and its images, scaled by
-``sqrt(w)``, into a QR factor;
-``gram``, ``inner_product`` and ``koopman_gram_blocks`` sum each Gram entry
+Both backends compile a dictionary once into one program, which evaluates
+each distinct subtree once per node set. ``koopman_factor`` streams the
+nodes: block by block it evaluates the dictionary and its images, scales
+them by ``sqrt(w)`` and folds them into a QR factor, so its memory does not
+grow with the node count. The reference functions
+``gram``, ``inner_product`` and ``koopman_gram_blocks`` evaluate all nodes
+into an atom-major array (one contiguous row per atom) and sum each Gram entry
 ``w * (v_i * v_j)`` along its row, in a reused product buffer of at most
 2**16 elements (one row if there are more nodes), so repeated runs are
 bit-stable. An empirical backend never needs the dynamics map: the image of
@@ -27,11 +29,12 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .expr import Expr, evaluate
+from .expr import Expr, compile as compile_exprs
 
 __all__ = [
     "NonFiniteValue",
@@ -44,9 +47,17 @@ __all__ = [
 ]
 
 DEFAULT_QUAD_ORDER = 20
-# Values of sqrt(w) * [Psi, K Psi] folded into the QR factor per step: one
-# qr call over all nodes copies its input twice (+45% peak memory, 1e5 nodes).
-_QR_BLOCK_VALUES = 2**14
+# Values of sqrt(w) * [Psi, K Psi] per block of the streamed QR factor: a
+# block holds rows = max(2m, _QR_BLOCK_VALUES // 2m) nodes. The fold needs
+# about (2m + rows) * 2m * 8 bytes for its buffer, the same again for
+# LAPACK's copy of it, and rows * (d + live subtrees) * 8 bytes to evaluate
+# a block; none of it grows with the node count. On 2 vCPUs, one analysis
+# of each of the six order-40 sweep dictionaries (m = 28..66, 1600 nodes)
+# takes 211 ms at 2**14 values (a program run and a QR per 124 nodes),
+# 151 ms at 2**16 and 144 ms at 2**18; but 2**18 holds the 1600 nodes in one
+# block, which raises the dict-sweep benchmark's peak RSS from 40.6 MiB to
+# 43.3-43.6 MiB.
+_QR_BLOCK_VALUES = 2**16
 
 
 class NonFiniteValue(ArithmeticError):
@@ -130,36 +141,56 @@ def _atom_label(atom, i):
         return f"atom{i}"
 
 
-def _evaluate_atoms(atoms, points, label=_atom_label, point_major=False):
-    """Values of the atoms at the points, shape (n_atoms, n_points), or the
-    C-contiguous (n_points, n_atoms) if ``point_major``.
+def _image_label(atom, i):
+    return f"({_atom_label(atom, i)}) o T"
 
-    The Expr atoms run as one program (``expr.evaluate``); any other
-    evaluable is called on its own. A NonFiniteValue names ``label(atom, i)``
-    and the first atom and point with an inf/nan value, in layout order.
-    """
-    points = np.asarray(points, dtype=float)
-    exprs = [i for i, atom in enumerate(atoms) if isinstance(atom, Expr)]
-    if len(exprs) == len(atoms):
-        values = evaluate(atoms, points)
-    else:
-        values = np.empty((len(atoms), points.shape[0]))
-        values[exprs] = evaluate([atoms[i] for i in exprs], points)
-        for i, atom in enumerate(atoms):
-            if isinstance(atom, Expr):
-                continue
-            row = np.asarray(atom(points), dtype=float).reshape(-1)
-            if row.shape[0] != points.shape[0]:
-                raise ValueError(f"{label(atom, i)} returned {row.shape[0]} values "
-                                 f"for {points.shape[0]} points")
-            values[i] = row
-    if point_major:
-        values = np.ascontiguousarray(values.T)
-    if not np.isfinite(values).all():
-        first = np.argwhere(~np.isfinite(values))[0]
-        j, i = first if point_major else first[::-1]
-        raise NonFiniteValue(label(atoms[i], i), points[j], values[tuple(first)])
-    return values
+
+class _AtomProgram:
+    """An atom list compiled once: the Expr atoms run as one program
+    (``expr.compile``); any other evaluable is called on its own."""
+
+    def __init__(self, atoms):
+        self.atoms = tuple(atoms)
+        self.exprs = [i for i, atom in enumerate(self.atoms) if isinstance(atom, Expr)]
+        self.program = compile_exprs([self.atoms[i] for i in self.exprs])
+
+    def fill(self, points, out, label=_atom_label, point_major=False):
+        """Write the values at the ``(n, d)`` points into ``out``, a writable
+        ``(n_atoms, n)`` array or view. A NonFiniteValue names ``label(atom,
+        i)`` and the first atom and point with an inf/nan value, in atom-major
+        order (first state, then atom, if ``point_major``)."""
+        if len(self.exprs) == len(self.atoms):
+            self.program(points, out)
+        else:
+            out[self.exprs] = self.program(points)
+            for i, atom in enumerate(self.atoms):
+                if isinstance(atom, Expr):
+                    continue
+                row = np.asarray(atom(points), dtype=float).reshape(-1)
+                if row.shape[0] != points.shape[0]:
+                    raise ValueError(f"{label(atom, i)} returned {row.shape[0]} values "
+                                     f"for {points.shape[0]} points")
+                out[i] = row
+        if not np.isfinite(out).all():
+            layout = out.T if point_major else out
+            first = np.argwhere(~np.isfinite(layout))[0]
+            j, i = first if point_major else first[::-1]
+            raise NonFiniteValue(label(self.atoms[i], i), points[j], layout[tuple(first)])
+        return out
+
+    def values(self, points, label=_atom_label, point_major=False):
+        """Values at the points, shape (n_atoms, n_points), or the
+        C-contiguous (n_points, n_atoms) if ``point_major``."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        shape = (len(self.atoms), points.shape[0])
+        if point_major:
+            return self.fill(points, np.empty(shape[::-1]).T, label, True).T
+        return self.fill(points, np.empty(shape), label)
+
+
+def _evaluate_atoms(atoms, points, label=_atom_label):
+    """Atom-major values, ``(n_atoms, n_points)``, of a list compiled once."""
+    return _AtomProgram(atoms).values(points, label)
 
 
 def _weighted_gram(values, weights, other=None):
@@ -191,7 +222,8 @@ def _weighted_gram(values, weights, other=None):
 
 
 class _InnerProductBackend:
-    """Shared Gram/inner-product machinery; subclasses provide nodes/weights."""
+    """Shared Gram/inner-product machinery; subclasses provide nodes/weights
+    and ``_blocks``."""
 
     nodes: np.ndarray    # (n_points, state_dim) evaluation points
     weights: np.ndarray  # (n_points,) positive weights
@@ -214,17 +246,10 @@ class _InnerProductBackend:
         values = _evaluate_atoms(atoms, self.nodes, lambda atom, i: labels[i])
         return GramMatrix(_weighted_gram(values, self.weights), tuple(labels))
 
-    def _image_points(self, dynamics):
+    def _blocks(self, rows, dynamics):
+        """``(nodes, weights, image points)`` of consecutive blocks of at most
+        ``rows`` nodes, in node order."""
         raise NotImplementedError
-
-    def _koopman_values(self, atoms, dynamics):
-        """Atom-major evaluations of Psi and K Psi at the nodes."""
-        atoms = tuple(atoms)
-        if not atoms:
-            raise ValueError("atom list must be nonempty")
-        return (_evaluate_atoms(atoms, self.nodes),
-                _evaluate_atoms(atoms, self._image_points(dynamics),
-                                lambda atom, i: f"({_atom_label(atom, i)}) o T"))
 
     def koopman_gram_blocks(self, atoms, dynamics=None):
         """Gram blocks of the concatenated list [Psi, K Psi].
@@ -234,26 +259,48 @@ class _InnerProductBackend:
         and ``g_image[i, j] = <K Psi_i, K Psi_j>``. Together they are the
         full Gram of the generators of S + K(S).
         """
-        values, image_values = self._koopman_values(atoms, dynamics)
-        w = self.weights
+        atoms = tuple(atoms)
+        if not atoms:
+            raise ValueError("atom list must be nonempty")
+        (nodes, w, images), = self._blocks(self.weights.shape[0], dynamics)
+        program = _AtomProgram(atoms)
+        values, image_values = program.values(nodes), program.values(images, _image_label)
         return (_weighted_gram(values, w), _weighted_gram(values, w, image_values),
                 _weighted_gram(image_values, w))
 
     def koopman_factor(self, atoms, dynamics=None):
         """Triangular R of sqrt(w) * [Psi, K Psi] = QR, so that ``R.T @ R`` is
         the Gram of [Psi, K Psi] and column j of R holds isometric coordinates
-        of generator j. Nodes are folded in blocks of at most
-        ``_QR_BLOCK_VALUES`` values and at least 2m rows."""
-        values, image_values = self._koopman_values(atoms, dynamics)
-        m, n_points = values.shape
+        of generator j.
+
+        The nodes stream through in blocks of ``rows = max(2m,
+        _QR_BLOCK_VALUES // 2m)``. Each block of Psi and K Psi is evaluated
+        straight into the point-major rows below R in one ``(2m + rows, 2m)``
+        buffer, scaled by ``sqrt(w)`` in place, and folded into R by one
+        LAPACK QR (the tall-skinny QR of Demmel et al., 2012). Memory is about
+        ``(2m + rows) * 2m * 8`` bytes for the buffer, the same again for
+        LAPACK's copy, and ``rows * (d + live subtrees) * 8`` bytes for the
+        evaluation, whatever the node count. The dictionary is compiled once
+        per call. A NonFiniteValue reports the first block with an inf/nan,
+        in it Psi before K Psi, and then the first atom and its first point.
+        """
+        atoms = tuple(atoms)
+        if not atoms:
+            raise ValueError("atom list must be nonempty")
+        m = len(atoms)
         rows = max(2 * m, _QR_BLOCK_VALUES // (2 * m))
-        root_w = np.sqrt(self.weights)
-        R = np.empty((0, 2 * m))
-        for lo in range(0, n_points, rows):
-            cut = slice(lo, lo + rows)
-            block = np.concatenate((values[:, cut], image_values[:, cut])).T
-            block *= root_w[cut, None]
-            R = np.linalg.qr(np.vstack([R, block]), mode="r")
+        program = _AtomProgram(atoms)
+        buf = np.empty((2 * m + rows, 2 * m))
+        top = 0  # rows of R at the top of buf: min(2m, nodes folded so far)
+        for nodes, weights, images in self._blocks(rows, dynamics):
+            end = top + weights.shape[0]
+            block = buf[top:end]
+            program.fill(nodes, block[:, :m].T)
+            program.fill(images, block[:, m:].T, _image_label)
+            block *= np.sqrt(weights)[:, None]
+            R = np.linalg.qr(buf[:end], mode="r")
+            top = R.shape[0]
+            buf[:top] = R
         return R
 
 
@@ -270,28 +317,42 @@ class QuadratureSpace(_InnerProductBackend):
             raise ValueError("quadrature order must be positive")
         self.domain = domain
         self.order = int(order)
-        axes = []
-        axis_weights = []
+        self.n_nodes = self.order ** domain.state_dim
         ref_nodes, ref_weights = np.polynomial.legendre.leggauss(self.order)
-        for a, b in domain.bounds:
-            half = 0.5 * (b - a)
-            axes.append(half * ref_nodes + 0.5 * (a + b))
-            axis_weights.append(half * ref_weights)
-        grids = np.meshgrid(*axes, indexing="ij")
-        self.nodes = np.column_stack([g.ravel() for g in grids])
-        w = axis_weights[0]
-        for extra in axis_weights[1:]:
-            w = np.multiply.outer(w, extra)
-        self.weights = w.ravel()
+        halves = [0.5 * (b - a) for a, b in domain.bounds]
+        self._axes = [h * ref_nodes + 0.5 * (a + b)
+                      for h, (a, b) in zip(halves, domain.bounds)]
+        self._axis_weights = [h * ref_weights for h in halves]
+
+    def _rule(self, lo, hi):
+        """Nodes and weights of the tensor nodes lo..hi-1, last axis fastest."""
+        index = np.unravel_index(np.arange(lo, hi), (self.order,) * self.domain.state_dim)
+        nodes = np.column_stack([axis[i] for axis, i in zip(self._axes, index)])
+        weights = self._axis_weights[0][index[0]]
+        for axis_weights, i in zip(self._axis_weights[1:], index[1:]):
+            weights = weights * axis_weights[i]
+        return nodes, weights
+
+    @cached_property
+    def nodes(self):
+        """All nodes, shape (n_nodes, state_dim), built on first use."""
+        return self._rule(0, self.n_nodes)[0]
+
+    @cached_property
+    def weights(self):
+        """All weights, shape (n_nodes,), built on first use."""
+        return self._rule(0, self.n_nodes)[1]
 
     def refined(self, factor=2):
         """Same domain at ``factor`` times the order, rounded up."""
         return QuadratureSpace(self.domain, int(np.ceil(factor * self.order)))
 
-    def _image_points(self, dynamics):
+    def _blocks(self, rows, dynamics):
         if dynamics is None:
             raise ValueError("quadrature backend needs the dynamics map to form K Psi")
-        return dynamics(self.nodes)
+        for lo in range(0, self.n_nodes, rows):
+            nodes, weights = self._rule(lo, min(lo + rows, self.n_nodes))
+            yield nodes, weights, dynamics(nodes)
 
     def __repr__(self):
         return f"QuadratureSpace(domain={self.domain.bounds}, order={self.order})"
@@ -336,13 +397,15 @@ class EmpiricalSpace(_InnerProductBackend):
         X, Y = read_snapshots(path)
         return cls(X, Y, weights)
 
-    def _image_points(self, dynamics):
+    def _blocks(self, rows, dynamics):
         if dynamics is not None:
             raise ValueError(
                 "empirical backend computes K Psi from successor snapshots; "
                 "do not pass a dynamics map"
             )
-        return self.snapshots_y
+        for lo in range(0, self.n_snapshots, rows):
+            cut = slice(lo, lo + rows)
+            yield self.snapshots_x[cut], self.weights[cut], self.snapshots_y[cut]
 
     def __repr__(self):
         return (f"EmpiricalSpace(n={self.n_snapshots}, "

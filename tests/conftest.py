@@ -54,11 +54,20 @@ def gauss_legendre_2d(f, order, bounds=((-1.0, 1.0), (-1.0, 1.0))):
     return total
 
 
-def sweep_atoms(basis, degree):
-    """The dict-sweep benchmark's dictionary (``bench/workloads.py``):
-    monomials or Legendre products of total degree <= ``degree``."""
+def _bench_workloads():
     path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return tuple(parse(s, 2) for s in workloads.sweep_dictionary(basis, degree))
+    return workloads
+
+
+def sweep_atoms(basis, degree):
+    """The dict-sweep benchmark's dictionary (``bench/workloads.py``):
+    monomials or Legendre products of total degree <= ``degree``."""
+    return tuple(parse(s, 2) for s in _bench_workloads().sweep_dictionary(basis, degree))
+
+
+def snapshot_atoms():
+    """The snapshots benchmark's 15 atoms (``bench/workloads.py``)."""
+    return tuple(parse(s, 2) for s in _bench_workloads().SNAPSHOT_ATOMS)

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import jsonschema
@@ -116,6 +117,27 @@ class TestProximityCommand:
                     "--out", tmp_path]) == 2
         assert f"config schema violation at {'backend/' * (key == 'order')}{key}" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["proximity", "oracle", "predict", "residuals"])
+    def test_integer_valued_float_literals_run(self, tmp_path, command):
+        # JSON Schema counts 100.0 as an integer; predict and oracle crashed
+        # on such counts with TypeError (exit 1)
+        config = base_config(DICTIONARIES["S2"])
+        integers = write_config(tmp_path, config)
+        text = json.dumps(config)
+        for key in ("state_dim", "order", "n_samples", "seed", "n_trajectories",
+                    "horizon", "sampling_seed"):
+            text, count = re.subn(rf'("{key}": )(\d+)', r"\1\2.0", text)
+            assert count == 1
+        floats = tmp_path / "floats.json"
+        floats.write_text(text)
+        for path, out in ((integers, tmp_path / "int"), (floats, tmp_path / "float")):
+            assert run([command, "--config", path, "--out", out]) == 0
+        names = sorted(p.name for p in (tmp_path / "int").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "float").iterdir()) and names
+        for name in names:
+            assert (tmp_path / "int" / name).read_bytes() == \
+                (tmp_path / "float" / name).read_bytes()
 
     @pytest.mark.parametrize("command", ["proximity", "table1"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.001"])

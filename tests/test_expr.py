@@ -310,3 +310,38 @@ def test_shared_subtrees_run_once_per_node_set(monkeypatch, basis, limit):
     values = evaluate(atoms, points)
     assert len(calls) <= limit
     _assert_bitwise_equal(values, _reference_values(atoms, points))
+
+
+def test_compiled_program_is_reused_and_writes_into_views():
+    atoms = sweep_atoms("legendre", 6) + (parse("x1", 2), parse("2", 2))
+    program = expr.compile(atoms)
+    assert program.n_out == len(atoms)
+    with pytest.raises(AttributeError):
+        program.n_out = 1
+    rng = np.random.default_rng(8)
+    for n in (1, 37, 500):
+        points = rng.uniform(-1, 1, size=(n, 2))
+        _assert_bitwise_equal(program(points), _reference_values(atoms, points))
+        # columns 1..m of a point-major buffer, written through its transpose
+        buf = np.full((n, len(atoms) + 2), np.nan)
+        out = buf[:, 1:-1].T
+        assert program(points, out) is out
+        _assert_bitwise_equal(buf[:, 1:-1].T, _reference_values(atoms, points))
+        assert np.isnan(buf[:, 0]).all() and np.isnan(buf[:, -1]).all()
+    with pytest.raises(ValueError, match="expected points of dimension 2"):
+        program(np.zeros((3, 3)))
+
+
+def test_objects_hold_their_program(monkeypatch):
+    compiles = []
+    compile_program = expr._compile
+    monkeypatch.setattr(expr, "_compile",
+                        lambda roots: compiles.append(len(roots)) or compile_program(roots))
+    e = parse("x1*x2", 2)
+    dynamics = DynamicsMap.from_strings(DYNAMICS_SOURCES, 2)
+    points = np.random.default_rng(9).uniform(-1, 1, size=(4, 2))
+    compiles.clear()  # parsing may fold constant exponents
+    for _ in range(3):
+        e(points), e.eval(points[0]), dynamics(points), dynamics(points[0])
+    assert compiles == [1, 2]
+    assert np.array_equal(e(points), evaluate([e], points)[0])

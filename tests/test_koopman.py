@@ -23,6 +23,7 @@ from invprox import (
     trajectory_errors,
 )
 
+from invprox import expr
 from invprox.koopman import _atom_values
 from invprox.space import _atom_label
 
@@ -446,6 +447,23 @@ class TestTrajectoryError:
         alone, _ = trajectory_errors(model, dynamics, [[0.3, 0.5]], 3)
         assert np.array_equal(errors, alone)
 
+
+    def test_programs_compile_once_per_object(self, quad, dictionaries, monkeypatch):
+        # the model and the map each hold their program: the compile count
+        # does not grow with the horizon (it was 3 at horizon 1, 101 at 50)
+        compiles = []
+        compile_program = expr._compile
+        monkeypatch.setattr(expr, "_compile",
+                            lambda roots: compiles.append(len(roots)) or compile_program(roots))
+        starts = np.random.default_rng(6).uniform(-1, 1, size=(20, 2))
+        counts = []
+        for horizon in (1, 50):
+            dynamics = DynamicsMap.from_strings(DYNAMICS_SOURCES, 2)
+            model = build_model(dictionaries["S3"], quad, dynamics)
+            compiles.clear()
+            trajectory_errors(model, dynamics, starts, horizon)
+            counts.append(len(compiles))
+        assert counts[0] == counts[1] <= 2
 
     def test_invariant_subspace_is_exact(self, quad, dynamics, dictionaries):
         model = build_model(dictionaries["S1"], quad, dynamics)

@@ -4,10 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invprox import (
     Domain,
+    DynamicsMap,
     EmpiricalSpace,
+    FunctionVec,
     NonFiniteValue,
     QuadratureSpace,
     compose_with_map,
@@ -16,9 +19,10 @@ from invprox import (
     write_snapshots,
 )
 
+from invprox import space as space_module
 from invprox.space import _evaluate_atoms
 
-from conftest import gauss_legendre_2d, sweep_atoms
+from conftest import DYNAMICS_SOURCES, gauss_legendre_2d, snapshot_atoms, sweep_atoms
 
 
 def _atoms(*sources, n=2):
@@ -205,8 +209,8 @@ class TestKoopmanBlocks:
             quad.koopman_gram_blocks(_atoms("x1"), None)
 
     def test_factor_reproduces_gram_blocks(self, quad, box, dynamics):
-        # S3 folds 1638 nodes per block: order 20 is one block, the 300x300
-        # rule (90000 nodes) is 55 blocks
+        # S3 folds 6553 nodes per block: order 20 is one block, the 300x300
+        # rule (90000 nodes) is 14 blocks
         atoms = _atoms("1", "x1", "x2", "x1^2", "x2^2")
         X = np.random.default_rng(12).uniform(-1, 1, size=(5000, 2))
         cases = [(quad, dynamics), (QuadratureSpace(box, 300), dynamics),
@@ -219,6 +223,126 @@ class TestKoopmanBlocks:
             reference = np.block([[g_dict, g_cross], [g_cross.T, g_image]])
             scale = np.max(np.abs(reference))
             assert np.max(np.abs(R.T @ R - reference)) <= 1e-12 * scale
+
+
+def _factor_case(backend, mixed, n):
+    """A space of n nodes, its dynamics map (None if empirical) and a
+    dictionary of 4 Expr atoms, plus 3 other evaluables if ``mixed``."""
+    if backend == "quadrature":  # one dimension, so that the order is n
+        d, space = 1, QuadratureSpace(Domain(((-1.0, 2.0),)), n)
+        T = dynamics = DynamicsMap.from_strings(["0.9*x1-0.2*x1^2"], 1)
+    else:
+        d, T, dynamics = 2, DynamicsMap.from_strings(DYNAMICS_SOURCES, 2), None
+        X = np.random.default_rng(n).uniform(-1, 1, size=(n, 2))
+        space = EmpiricalSpace(X, T(X))
+    atoms = _atoms("1", "x1", f"x{d}^2", f"sin(x{d})", n=d)
+    if mixed:
+        atoms += (FunctionVec([1.0, -0.5], atoms[1:3]), lambda p: np.cos(p[:, 0]),
+                  compose_with_map(atoms[3], T))
+    return space, dynamics, atoms
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedFactor:
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(data=st.data())
+    def test_matches_gram_blocks_at_any_node_count(self, data):
+        backend = data.draw(st.sampled_from(["quadrature", "empirical"]))
+        mixed = data.draw(st.booleans())
+        # 1 value gives the 2m-row minimum; the module's own size only on
+        # snapshots, as a 1-d Gauss rule of order 1e4 costs a 1e4 x 1e4 eigh
+        sizes = [1, 48, 200] + [space_module._QR_BLOCK_VALUES] * (backend == "empirical")
+        block_values = data.draw(st.sampled_from(sizes))
+        m = 7 if mixed else 4
+        rows = max(2 * m, block_values // (2 * m))
+        n = data.draw(st.one_of(
+            st.integers(1, 2 * m - 1),
+            st.just(rows),
+            st.builds(lambda k, e: k * rows + e, st.integers(1, 4), st.sampled_from([-1, 0, 1])),
+            st.integers(1, 6 * rows),
+        ), label="n")
+        space, dynamics, atoms = _factor_case(backend, mixed, n)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(space_module, "_QR_BLOCK_VALUES", block_values)
+            R = space.koopman_factor(atoms, dynamics)
+        assert R.shape == (min(n, 2 * m), 2 * m)
+        assert np.array_equal(R, np.triu(R))
+        g_dict, g_cross, g_image = space.koopman_gram_blocks(atoms, dynamics)
+        reference = np.block([[g_dict, g_cross], [g_cross.T, g_image]])
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(R.T @ R - reference)) <= 1e-12 * scale
+
+    def test_non_finite_in_a_later_block_of_snapshots(self):
+        # 8192 rows per block for 4 atoms. Block 3 of Psi fails in 1/x1 and,
+        # at a later point but an earlier atom, in log(x2+1)
+        atoms = _atoms("1", "x1", "log(x2+1)", "1/x1")
+        rows = space_module._QR_BLOCK_VALUES // 8
+        X = np.random.default_rng(13).uniform(0.5, 1.0, size=(3 * rows, 2))
+        X[2 * rows + 7] = [0.0, 0.3]
+        X[2 * rows + 9] = [0.7, -1.0]
+
+        def failure(bad_image_row):
+            Y = np.full_like(X, 0.5)
+            if bad_image_row is not None:
+                Y[bad_image_row, 0] = 0.0
+            with pytest.raises(NonFiniteValue) as info:
+                EmpiricalSpace(X, Y).koopman_factor(atoms)
+            error = info.value
+            atom = atoms[[str(a) for a in atoms].index(error.label.removeprefix("(")
+                                                      .removesuffix(") o T"))]
+            assert not np.isfinite(atom(error.point[None]))[0]
+            return error.label, error.point.tolist()
+
+        psi = ("log(x2+1.0)", X[2 * rows + 9].tolist())
+        assert failure(None) == psi
+        # K Psi in the same block comes after Psi, even at an earlier point
+        assert failure(2 * rows + 1) == psi
+        # an earlier block comes first
+        assert failure(rows + 3) == ("(1.0/x1) o T", [0.0, 0.5])
+
+    def test_non_finite_in_a_later_block_of_the_rule(self, box, dynamics):
+        # 1/(x1 - c) is inf on the last row of the 100 x 100 rule (c its
+        # largest x1), nodes 9900.. of 10000: the second of two blocks
+        c = float(QuadratureSpace(box, 100).nodes[:, 0].max())
+        atoms = _atoms("1", "x1", "x2", f"1/(x1-{c!r})")
+        space = QuadratureSpace(box, 100)
+        with pytest.raises(NonFiniteValue) as info:
+            space.koopman_factor(atoms, dynamics)
+        assert info.value.label == f"1.0/(x1-{c!r})"
+        assert np.array_equal(info.value.point, [c, -c])
+        assert not np.isfinite(atoms[3](info.value.point[None]))[0]
+        assert "nodes" not in vars(space)
+
+    def test_snapshot_memory_does_not_grow_with_n(self, dynamics):
+        atoms = snapshot_atoms()
+        peaks = []
+        for n in (20_000, 200_000):
+            X = np.random.default_rng(14).uniform(-1, 1, size=(n, 2))
+            space = EmpiricalSpace(X, dynamics(X))
+            peaks.append(_traced_peak(lambda: space.koopman_factor(atoms)))
+        # evaluating all nodes before folding peaked at 5.2 and 51.9 MiB
+        assert peaks[1] <= 1.2 * peaks[0]
+
+    def test_quadrature_memory_does_not_grow_with_order(self):
+        d = 4
+        T = DynamicsMap.from_strings(
+            [f"0.9*x{i}+0.1*x{i % d + 1}^2" for i in range(1, d + 1)], d)
+        atoms = _atoms("1", *(f"x{i}" for i in range(1, d + 1)),
+                       *(f"x{i}^2" for i in range(1, d + 1)), n=d)
+        peaks = []
+        for order in (12, 24):
+            space = QuadratureSpace(Domain(((-1.0, 1.0),) * d), order)
+            peaks.append(_traced_peak(lambda: space.koopman_factor(atoms, T)))
+            assert "nodes" not in vars(space) and "weights" not in vars(space)
+        assert peaks[1] <= 1.2 * peaks[0]
 
 
 class TestEmpirical:
