@@ -52,8 +52,7 @@ print("subset of S3. Bigger dictionaries are not automatically better.")
 # The closed form is a tight upper bound: seeded sphere sampling plus a local
 # refinement reaches it from below.
 analysis = analyses["S3"]
-oracle = proximity_oracle(tuple(parse(s, 2) for s in dictionaries["S3"]),
-                          space, n_samples=10000, seed=0, analysis=analysis)
+oracle = proximity_oracle(analysis, n_samples=10000, seed=0)
 print()
 print("S3 closed form:     ", analysis.proximity)
 print("S3 sampled maximum: ", oracle.max_error)

@@ -20,7 +20,6 @@ from .expr import (
     parse,
 )
 from .geometry import (
-    BudgetExceeded,
     DegenerateSpace,
     Isomorphism,
     NotPSD,
@@ -29,7 +28,6 @@ from .geometry import (
     build_isomorphism,
     orthonormalize,
     principal_angles,
-    principal_angles_bruteforce,
 )
 from .koopman import (
     FunctionVec,
@@ -77,13 +75,11 @@ __all__ = [
     "orthonormalize",
     "build_isomorphism",
     "principal_angles",
-    "principal_angles_bruteforce",
     "SubspaceBasis",
     "Isomorphism",
     "PrincipalDecomposition",
     "DegenerateSpace",
     "NotPSD",
-    "BudgetExceeded",
     "FunctionVec",
     "KoopmanModel",
     "ProximityReport",

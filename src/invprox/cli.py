@@ -29,8 +29,9 @@ import numpy as np
 import jsonschema
 
 from .expr import DynamicsMap, ParseError, parse
-from .geometry import BudgetExceeded, DegenerateSpace, NotPSD
+from .geometry import DegenerateSpace
 from .koopman import (
+    DEFAULT_QUAD_TOL,
     DEFAULT_RANK_TOL,
     InconsistentSystem,
     InvarianceAnalysis,
@@ -39,8 +40,8 @@ from .koopman import (
     proximity_oracle,
     trajectory_errors,
 )
-from .space import (DEFAULT_QUAD_ORDER, Domain, EmpiricalSpace, NonFiniteValue,
-                     QuadratureSpace, read_snapshots)
+from .space import (DEFAULT_QUAD_ORDER, MAX_QUAD_ORDER, Domain, EmpiricalSpace,
+                    NonFiniteValue, QuadratureSpace, read_snapshots)
 
 __all__ = ["main", "CONFIG_SCHEMA", "SYSTEM_REGISTRY", "ConfigError"]
 
@@ -92,7 +93,7 @@ CONFIG_SCHEMA = {
             "required": ["type"],
             "properties": {
                 "type": {"enum": ["quadrature", "empirical"]},
-                "order": {"type": "integer", "minimum": 1},
+                "order": {"type": "integer", "minimum": 1, "maximum": MAX_QUAD_ORDER},
                 "snapshot_path": {"type": "string"},
                 "weights_path": {"type": "string"},
             },
@@ -157,7 +158,7 @@ CONFIG_SCHEMA = {
 _CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 
 _DEFAULTS = {
-    "tolerances": {"rank_tol": DEFAULT_RANK_TOL, "quad_tol": 1e-9},
+    "tolerances": {"rank_tol": DEFAULT_RANK_TOL, "quad_tol": DEFAULT_QUAD_TOL},
     "oracle": {"n_samples": 10000, "seed": 0},
     "experiment": {"n_trajectories": 100, "horizon": 10, "sampling_seed": 0},
 }
@@ -419,13 +420,8 @@ def cmd_oracle(config, out_dir):
     space, atoms, dynamics = _prepare(config, need_dynamics=False)
     analysis = _analysis(config, space, atoms, dynamics)
     oracle_cfg = config["oracle"]
-    result = proximity_oracle(
-        atoms,
-        space,
-        n_samples=oracle_cfg["n_samples"],
-        seed=oracle_cfg["seed"],
-        analysis=analysis,
-    )
+    result = proximity_oracle(analysis, n_samples=oracle_cfg["n_samples"],
+                              seed=oracle_cfg["seed"])
     closed_form = analysis.proximity
     payload = {
         "closed_form": closed_form,
@@ -520,6 +516,8 @@ def main(argv=None):
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.quad_order is not None and args.quad_order < 1:
             raise ConfigError("--quad-order must be positive")
+        if args.quad_order is not None and args.quad_order > MAX_QUAD_ORDER:
+            raise ConfigError(f"--quad-order must be at most {MAX_QUAD_ORDER}")
         if args.rank_tol is not None and not 0 < args.rank_tol < np.inf:
             raise ConfigError("--rank-tol must be positive and finite")
         if args.command == "table1":
@@ -536,8 +534,8 @@ def main(argv=None):
     except (ConfigError, ParseError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DegenerateSpace, NotPSD, NonFiniteValue, InconsistentSystem,
-            ZeroImage, BudgetExceeded, np.linalg.LinAlgError) as exc:
+    except (DegenerateSpace, NonFiniteValue, InconsistentSystem, ZeroImage,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

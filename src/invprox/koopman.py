@@ -49,6 +49,7 @@ __all__ = [
 DEFAULT_RANK_TOL = 1e-12  # relative to the largest singular value
 DEFAULT_QUAD_TOL = 1e-9
 _ZERO_IMAGE_TOL = 1e-14
+_ORACLE_REFINE_STEPS = 200
 
 
 class InconsistentSystem(ArithmeticError):
@@ -61,13 +62,6 @@ class ZeroImage(ValueError):
 
 class ZeroNorm(ValueError):
     """Evaluated dictionary vector vanished along a trajectory."""
-
-
-def _atom_values(atoms, points):
-    """Point-major atom values, shape (n_points, n_atoms), C-contiguous;
-    raises NonFiniteValue naming the first state and atom with an inf/nan.
-    FunctionVec and KoopmanModel hold their compiled ``_AtomProgram``."""
-    return _AtomProgram(atoms).values(points, point_major=True)
 
 
 @dataclass(frozen=True)
@@ -110,10 +104,8 @@ class KoopmanModel:
     """
 
     atoms: tuple
-    space: object
     k_approx: np.ndarray
     basis: np.ndarray
-    dynamics: object = None
 
     @property
     def dim(self):
@@ -420,14 +412,7 @@ def build_model(atoms, space, dynamics=None, rank_tol=DEFAULT_RANK_TOL):
     factor = space.koopman_factor(atoms, dynamics)
     m = len(atoms)
     q, basis, _ = _span_basis(factor[:, :m], rank_tol)
-    k_approx = (factor[:, m:] @ basis).T @ q
-    return KoopmanModel(
-        atoms=atoms,
-        space=space,
-        k_approx=k_approx,
-        basis=basis,
-        dynamics=dynamics,
-    )
+    return KoopmanModel(atoms=atoms, k_approx=(factor[:, m:] @ basis).T @ q, basis=basis)
 
 
 def invariance_proximity(
@@ -456,17 +441,9 @@ def invariance_proximity(
     return analysis.report()
 
 
-def proximity_oracle(
-    atoms,
-    space,
-    dynamics=None,
-    n_samples=10000,
-    seed=0,
-    refine_steps=200,
-    rank_tol=DEFAULT_RANK_TOL,
-    analysis=None,
-):
-    """Validate the closed form from below by seeded sphere sampling.
+def proximity_oracle(analysis, n_samples=10000, seed=0):
+    """Validate the closed form of an :class:`InvarianceAnalysis` from below
+    by seeded sphere sampling.
 
     Draws ``n_samples`` coefficient vectors uniformly from the unit sphere of
     the orthonormalized subspace, evaluates the relative projection error of
@@ -476,10 +453,6 @@ def proximity_oracle(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    if analysis is None:
-        analysis = InvarianceAnalysis(
-            atoms, space, dynamics, rank_tol=rank_tol, check_quadrature=False
-        )
     a_k = analysis.basis_image_map
     q = analysis.q_s.coeffs
 
@@ -496,7 +469,8 @@ def proximity_oracle(
     samples /= np.linalg.norm(samples, axis=1, keepdims=True)
     errors = errors_of(samples)
     index = int(np.argmax(errors))  # sample 0, at zero error, if every image vanishes
-    best, best_error = _refine(errors_of, samples[index], max(errors[index], 0.0), refine_steps)
+    best, best_error = _refine(errors_of, samples[index], max(errors[index], 0.0),
+                                _ORACLE_REFINE_STEPS)
     raw_coeffs = analysis.dictionary_basis @ best
     return OracleResult(
         max_error=float(best_error),

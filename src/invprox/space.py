@@ -18,11 +18,10 @@ them by ``sqrt(w)`` and folds them into a QR factor, so its memory does not
 grow with the node count. The reference functions
 ``gram``, ``inner_product`` and ``koopman_gram_blocks`` evaluate all nodes
 into an atom-major array (one contiguous row per atom) and sum each Gram entry
-``w * (v_i * v_j)`` along its row, in a reused product buffer of at most
-2**16 elements (one row if there are more nodes), so repeated runs are
-bit-stable. An empirical backend never needs the dynamics map: the image of
-a dictionary function under composition with T is obtained by evaluating the
-function at the successor snapshots.
+``w * (v_i * v_j)`` along its row, so repeated runs are bit-stable. An
+empirical backend never needs the dynamics map: the image of a dictionary
+function under composition with T is obtained by evaluating the function at
+the successor snapshots.
 """
 
 from __future__ import annotations
@@ -47,6 +46,9 @@ __all__ = [
 ]
 
 DEFAULT_QUAD_ORDER = 20
+# leggauss(order) works on a dense order x order matrix: 7.7 MiB and 0.3 s at
+# 1000, growing as order**2 (3 GiB at 20000).
+MAX_QUAD_ORDER = 1000
 # Values of sqrt(w) * [Psi, K Psi] per block of the streamed QR factor: a
 # block holds rows = max(2m, _QR_BLOCK_VALUES // 2m) nodes. The fold needs
 # about (2m + rows) * 2m * 8 bytes for its buffer, the same again for
@@ -188,37 +190,14 @@ class _AtomProgram:
         return self.fill(points, np.empty(shape), label)
 
 
-def _evaluate_atoms(atoms, points, label=_atom_label):
-    """Atom-major values, ``(n_atoms, n_points)``, of a list compiled once."""
-    return _AtomProgram(atoms).values(points, label)
-
-
 def _weighted_gram(values, weights, other=None):
     """G[i, j] = sum_k w_k * v_ik * u_jk over atom-major rows of values (v)
-    and other (u, default v, in which case j >= i is formed and mirrored).
-
-    Each entry is w * (v_i * u_j) pairwise-summed along a contiguous row, as
-    np.sum does for one pair, so it equals inner_product() bit for bit. Rows
-    of u go in blocks of at most 2**16 products (one row, if it is longer).
-    """
-    symmetric = other is None
-    if symmetric:
-        other = values
-    m, n, n_points = values.shape[0], other.shape[0], values.shape[1]
-    step = max(1, 2**16 // n_points)
-    buf = np.empty((min(step, n), n_points))
-    G = np.empty((m, n))
-    for i in range(m):
-        for lo in range(i if symmetric else 0, n, step):
-            hi = min(lo + step, n)
-            block = buf[: hi - lo]
-            np.multiply(values[i], other[lo:hi], out=block)
-            block *= weights
-            G[i, lo:hi] = block.sum(axis=1)
-    if symmetric:
-        lower = np.tril_indices(m, -1)
-        G[lower] = G.T[lower]
-    return G
+    and other (u, default v). Each entry is w * (v_i * u_j) pairwise-summed
+    along a contiguous row, as np.sum does for one pair, so G is exactly
+    symmetric when u is v and equals inner_product() bit for bit."""
+    other = values if other is None else other
+    G = np.array([(v * other * weights).sum(axis=1) for v in values])
+    return G.reshape(values.shape[0], other.shape[0])
 
 
 class _InnerProductBackend:
@@ -230,7 +209,7 @@ class _InnerProductBackend:
 
     def inner_product(self, f, g):
         """<f, g> = sum_k w_k f(p_k) g(p_k); raises NonFiniteValue on inf/nan."""
-        values = _evaluate_atoms((f, g), self.nodes)
+        values = _AtomProgram((f, g)).values(self.nodes)
         return float(_weighted_gram(values[:1], self.weights, values[1:])[0, 0])
 
     def norm(self, f):
@@ -243,7 +222,7 @@ class _InnerProductBackend:
             raise ValueError("atom list must be nonempty")
         if labels is None:
             labels = [_atom_label(a, i) for i, a in enumerate(atoms)]
-        values = _evaluate_atoms(atoms, self.nodes, lambda atom, i: labels[i])
+        values = _AtomProgram(atoms).values(self.nodes, lambda atom, i: labels[i])
         return GramMatrix(_weighted_gram(values, self.weights), tuple(labels))
 
     def _blocks(self, rows, dynamics):
@@ -315,6 +294,8 @@ class QuadratureSpace(_InnerProductBackend):
     def __init__(self, domain: Domain, order: int = DEFAULT_QUAD_ORDER):
         if order < 1:
             raise ValueError("quadrature order must be positive")
+        if order > MAX_QUAD_ORDER:
+            raise ValueError(f"quadrature order {order} exceeds the maximum {MAX_QUAD_ORDER}")
         self.domain = domain
         self.order = int(order)
         self.n_nodes = self.order ** domain.state_dim
@@ -391,11 +372,6 @@ class EmpiricalSpace(_InnerProductBackend):
     @property
     def n_snapshots(self):
         return self.snapshots_x.shape[0]
-
-    @classmethod
-    def from_csv(cls, path, weights=None):
-        X, Y = read_snapshots(path)
-        return cls(X, Y, weights)
 
     def _blocks(self, rows, dynamics):
         if dynamics is not None:

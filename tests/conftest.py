@@ -54,12 +54,17 @@ def gauss_legendre_2d(f, order, bounds=((-1.0, 1.0), (-1.0, 1.0))):
     return total
 
 
+def bench_module(name):
+    """``bench/<name>.py`` loaded by path (``bench/`` is not a package)."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _bench_workloads():
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
+    return bench_module("workloads")
 
 
 def sweep_atoms(basis, degree):

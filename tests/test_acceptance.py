@@ -16,11 +16,11 @@ from invprox import (
     InvarianceAnalysis,
     build_isomorphism,
     principal_angles,
-    principal_angles_bruteforce,
     proximity_oracle,
 )
 from invprox.cli import main
 
+from bruteforce import principal_angles_bruteforce
 from conftest import DICTIONARIES
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -54,8 +54,7 @@ def test_criterion_2_oracle_tightness(quad, dynamics, dictionaries):
         atoms = dictionaries[name]
         analysis = InvarianceAnalysis(atoms, quad, dynamics,
                                       check_quadrature=False)
-        result = proximity_oracle(atoms, quad, n_samples=10000, seed=0,
-                                  analysis=analysis)
+        result = proximity_oracle(analysis, n_samples=10000, seed=0)
         closed = analysis.proximity
         ok &= result.max_error <= closed + 1e-8
         ok &= closed - result.max_error <= 0.01 * closed

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import jsonschema
@@ -8,6 +9,7 @@ import pytest
 
 from invprox import DynamicsMap, Expr, QuadratureSpace, Domain, write_snapshots
 from invprox.cli import CONFIG_SCHEMA, load_config, main
+from invprox.space import MAX_QUAD_ORDER
 
 from conftest import DICTIONARIES, DYNAMICS_SOURCES
 
@@ -146,6 +148,32 @@ class TestProximityCommand:
         config = ["--config", CONFIGS_DIR / "s2.json"] if command != "table1" else []
         assert run([command, *config, "--out", tmp_path, "--rank-tol", value]) == 2
         assert "--rank-tol must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["config", "proximity", "table1"])
+    def test_quad_order_above_the_maximum_is_config_error(self, tmp_path, capsys,
+                                                          monkeypatch, case):
+        # leggauss(20000) would ask for about 3 GiB: fail if it is reached
+        leggauss = np.polynomial.legendre.leggauss
+
+        def bounded_leggauss(order):
+            assert order <= MAX_QUAD_ORDER, f"leggauss({order}) was called"
+            return leggauss(order)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", bounded_leggauss)
+        config = base_config(DICTIONARIES["S2"])
+        if case == "config":
+            config["backend"]["order"] = MAX_QUAD_ORDER + 1
+            args = ["proximity", "--config", write_config(tmp_path, config)]
+        else:
+            args = [case, "--quad-order", 20000]
+            if case == "proximity":
+                args[1:1] = ["--config", write_config(tmp_path, config)]
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert run([*args, "--out", out]) == 2
+        assert time.perf_counter() - start < 2.0
+        assert str(MAX_QUAD_ORDER) in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_bad_expression_rejected(self, tmp_path):
         config = base_config(DICTIONARIES["S1"])

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from invprox import (
-    BudgetExceeded,
     DegenerateSpace,
     NotPSD,
     SubspaceBasis,
     build_isomorphism,
     orthonormalize,
     principal_angles,
-    principal_angles_bruteforce,
 )
+
+from bruteforce import BudgetExceeded, principal_angles_bruteforce
 
 
 def random_orthonormal(rng, ambient, dim):

@@ -24,8 +24,7 @@ from invprox import (
 )
 
 from invprox import expr
-from invprox.koopman import _atom_values
-from invprox.space import _atom_label
+from invprox.space import _AtomProgram, _atom_label
 
 from conftest import DYNAMICS_SOURCES, gauss_legendre_2d, sweep_atoms
 
@@ -65,7 +64,8 @@ class TestAtomValues:
         mixed = s3 + (FunctionVec([1.0, -2.0], s3[1:3]), compose_with_map(s3[3], dynamics))
         for atoms in (s3, sweep_atoms("legendre", 8), mixed):
             for pts in (points, points[0]):
-                got, want = _atom_values(atoms, pts), _column_stack_atom_values(atoms, pts)
+                got = _AtomProgram(atoms).values(pts, point_major=True)
+                want = _column_stack_atom_values(atoms, pts)
                 assert got.flags.c_contiguous and got.shape == want.shape
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -76,7 +76,7 @@ class TestAtomValues:
         with pytest.raises(NonFiniteValue) as want:
             _column_stack_atom_values(atoms, points)
         with pytest.raises(NonFiniteValue) as got:
-            _atom_values(atoms, points)
+            _AtomProgram(atoms).values(points, point_major=True)
         assert str(got.value) == str(want.value)
         assert got.value.label == "sqrt(x1)"
         assert np.array_equal(got.value.point, [-1.0, 0.5])
@@ -270,14 +270,12 @@ class TestRelativeError:
 class TestOracle:
     def test_invariant_subspace(self, quad, dynamics, dictionaries):
         analysis = InvarianceAnalysis(dictionaries["S1"], quad, dynamics)
-        result = proximity_oracle(dictionaries["S1"], quad, n_samples=200,
-                                  seed=0, analysis=analysis)
+        result = proximity_oracle(analysis, n_samples=200, seed=0)
         assert result.max_error <= 1e-10
 
     def test_reaches_the_closed_form(self, quad, dynamics, dictionaries):
         analysis = InvarianceAnalysis(dictionaries["S3"], quad, dynamics)
-        result = proximity_oracle(dictionaries["S3"], quad, n_samples=10000,
-                                  seed=0, analysis=analysis)
+        result = proximity_oracle(analysis, n_samples=10000, seed=0)
         assert result.max_error <= analysis.proximity + 1e-8
         assert analysis.proximity - result.max_error < 0.01 * analysis.proximity
         # the reported maximizer reproduces its error through the public path
@@ -287,16 +285,13 @@ class TestOracle:
 
     def test_single_sample_budget(self, quad, dynamics, dictionaries):
         analysis = InvarianceAnalysis(dictionaries["S2"], quad, dynamics)
-        result = proximity_oracle(dictionaries["S2"], quad, n_samples=1,
-                                  seed=5, analysis=analysis)
+        result = proximity_oracle(analysis, n_samples=1, seed=5)
         assert 0.0 <= result.max_error <= analysis.proximity + 1e-8
 
     def test_seeded_reproducibility(self, quad, dynamics, dictionaries):
         analysis = InvarianceAnalysis(dictionaries["S2"], quad, dynamics)
-        a = proximity_oracle(dictionaries["S2"], quad, n_samples=500, seed=9,
-                             analysis=analysis)
-        b = proximity_oracle(dictionaries["S2"], quad, n_samples=500, seed=9,
-                             analysis=analysis)
+        a = proximity_oracle(analysis, n_samples=500, seed=9)
+        b = proximity_oracle(analysis, n_samples=500, seed=9)
         assert a.max_error == b.max_error
         assert np.array_equal(a.argmax_coeffs, b.argmax_coeffs)
 
@@ -313,8 +308,7 @@ def test_oracle_never_exceeds_closed_form(subset, seed):
     atoms = _atoms(*sorted(subset))
     analysis = InvarianceAnalysis(atoms, _ORACLE_SPACE, _ORACLE_DYNAMICS,
                                   check_quadrature=False)
-    result = proximity_oracle(atoms, _ORACLE_SPACE, n_samples=500, seed=seed,
-                              analysis=analysis)
+    result = proximity_oracle(analysis, n_samples=500, seed=seed)
     assert 0.0 <= result.max_error <= analysis.proximity + 1e-8
 
 

@@ -20,7 +20,7 @@ from invprox import (
 )
 
 from invprox import space as space_module
-from invprox.space import _evaluate_atoms
+from invprox.space import _AtomProgram
 
 from conftest import DYNAMICS_SOURCES, gauss_legendre_2d, snapshot_atoms, sweep_atoms
 
@@ -61,6 +61,10 @@ class TestQuadrature:
             assert (space.weights > 0).all()
             volume = Domain(bounds).volume
             assert np.sum(space.weights) == pytest.approx(volume, rel=1e-12)
+
+    def test_order_above_the_maximum_rejected(self, box):
+        with pytest.raises(ValueError, match=f"maximum {space_module.MAX_QUAD_ORDER}"):
+            QuadratureSpace(box, space_module.MAX_QUAD_ORDER + 1)
 
     def test_basic_inner_products(self, quad):
         one, x1 = _atoms("1", "x1")
@@ -159,7 +163,7 @@ class TestQuadrature:
         nodes = QuadratureSpace(box, 300).nodes
         tracemalloc.start()
         try:
-            values = _evaluate_atoms(atoms, nodes)
+            values = _AtomProgram(atoms).values(nodes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
