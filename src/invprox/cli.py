@@ -26,7 +26,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import jsonschema
 
 from .expr import DynamicsMap, ParseError, parse
 from .geometry import DegenerateSpace
@@ -154,9 +153,6 @@ CONFIG_SCHEMA = {
     },
 }
 
-# Built once: jsonschema.validate re-checks the schema itself on every call.
-_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-
 _DEFAULTS = {
     "tolerances": {"rank_tol": DEFAULT_RANK_TOL, "quad_tol": DEFAULT_QUAD_TOL},
     "oracle": {"n_samples": 10000, "seed": 0},
@@ -198,8 +194,15 @@ def _to_json(value, indent=0):
     return json.dumps(str(value))
 
 
+def _output(path):
+    """``path`` with its directory created: only a run that writes output
+    leaves the ``--out`` directory behind."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return Path(path)
+
+
 def write_json(path, payload):
-    Path(path).write_text(_to_json(payload) + "\n")
+    _output(path).write_text(_to_json(payload) + "\n")
 
 
 def write_csv(path, header, rows, comments=()):
@@ -210,7 +213,7 @@ def write_csv(path, header, rows, comments=()):
             format_float(v) if isinstance(v, (float, np.floating)) else str(v)
             for v in row
         ))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _output(path).write_text("\n".join(lines) + "\n")
 
 
 # --- configuration -------------------------------------------------------------
@@ -234,12 +237,14 @@ def load_config(path):
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(raw))
-    if error is not None:
-        location = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"config schema violation at {location}: {error.message}") from error
-    _coerce_integers(CONFIG_SCHEMA, raw)
-    config = dict(raw)
+    errors = []
+    config = _validate(CONFIG_SCHEMA, raw, (), errors)
+    if errors:
+        # jsonschema's best_match: the shortest path, then the greatest, then
+        # an error whose schema's type the value fails; the first of equals
+        location, _, message = max(errors, key=lambda e: (-len(e[0]), e[0], e[1]))
+        location = "/".join(map(str, location)) or "<root>"
+        raise ConfigError(f"config schema violation at {location}: {message}")
     for section, defaults in _DEFAULTS.items():
         merged = dict(defaults)
         merged.update(config.get(section, {}))
@@ -250,16 +255,82 @@ def load_config(path):
     return config
 
 
-def _coerce_integers(schema, value):
-    """Turn the validated values of ``"type": "integer"`` keys into ints, in
-    place: JSON Schema counts 100.0 as an integer, range() and numpy do not."""
-    for key, sub in schema.get("properties", {}).items():
-        if key not in value:
-            continue
-        if sub.get("type") == "integer":
-            value[key] = int(value[key])
-        elif sub.get("type") == "object":
-            _coerce_integers(sub, value[key])
+_JSON_TYPES = {"object": dict, "array": list, "string": str,
+               "number": (int, float), "integer": int}
+
+
+def _is_type(value, kind):
+    """JSON Schema's types: a bool is not a number, 1.0 is an integer."""
+    if kind == "integer" and isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool)
+
+
+def _validate(schema, value, path, errors):
+    """Check ``value`` against the subset of JSON Schema 2020-12 that
+    ``CONFIG_SCHEMA`` uses, appending ``(path, type mismatch, message)`` to
+    ``errors`` in jsonschema's order and wording. Returns ``value`` with the
+    values of ``"type": "integer"`` keys as ints (JSON Schema counts 100.0
+    as an integer, range() and numpy do not); the input is not modified."""
+    if schema is False:  # reported, as by jsonschema, at the enclosing object
+        errors.append((path[:-1], True, f"False schema does not allow {value!r}"))
+        return value
+    mismatch = "type" not in schema or not _is_type(value, schema["type"])
+
+    def fail(message):
+        errors.append((path, mismatch, message))
+
+    result = value
+    for keyword, arg in schema.items():
+        if keyword == "type":
+            if mismatch:
+                fail(f"{value!r} is not of type {arg!r}")
+            elif arg == "integer":
+                result = int(value)
+        elif keyword == "enum" and value not in arg:
+            fail(f"{value!r} is not one of {arg!r}")
+        elif keyword == "const" and value != arg:
+            fail(f"{arg!r} was expected")
+        elif keyword == "allOf":
+            for sub in arg:
+                _validate(sub, value, path, errors)
+        elif keyword == "if":
+            probe = []
+            _validate(arg, value, path, probe)
+            if not probe:
+                _validate(schema["then"], value, path, errors)
+        elif isinstance(value, dict):
+            if keyword == "required":
+                for key in arg:
+                    if key not in value:
+                        fail(f"{key!r} is a required property")
+            elif keyword == "additionalProperties":
+                extras = sorted(set(value) - set(schema.get("properties", ())), key=str)
+                if extras:
+                    names = ", ".join(map(repr, extras))
+                    verb = "was" if len(extras) == 1 else "were"
+                    fail(f"Additional properties are not allowed ({names} {verb} unexpected)")
+            elif keyword == "properties":
+                result = dict(value)
+                for key, sub in arg.items():
+                    if key in value:
+                        result[key] = _validate(sub, value[key], (*path, key), errors)
+        elif isinstance(value, list):
+            if keyword == "items":
+                result = [_validate(arg, item, (*path, i), errors)
+                          for i, item in enumerate(value)]
+            elif keyword == "minItems" and len(value) < arg:
+                fail(f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}")
+            elif keyword == "maxItems" and len(value) > arg:
+                fail(f"{value!r} is too long")
+        elif _is_type(value, "number"):
+            if keyword == "minimum" and value < arg:
+                fail(f"{value!r} is less than the minimum of {arg!r}")
+            elif keyword == "maximum" and value > arg:
+                fail(f"{value!r} is greater than the maximum of {arg!r}")
+            elif keyword == "exclusiveMinimum" and value <= arg:
+                fail(f"{value!r} is less than or equal to the minimum of {arg!r}")
+    return result
 
 
 def _parse_dictionary(config):
@@ -513,7 +584,6 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         if args.quad_order is not None and args.quad_order < 1:
             raise ConfigError("--quad-order must be positive")
         if args.quad_order is not None and args.quad_order > MAX_QUAD_ORDER:

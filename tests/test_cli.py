@@ -1,19 +1,25 @@
+import copy
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invprox import DynamicsMap, Expr, QuadratureSpace, Domain, write_snapshots
-from invprox.cli import CONFIG_SCHEMA, load_config, main
+from invprox.cli import CONFIG_SCHEMA, ConfigError, load_config, main
 from invprox.space import MAX_QUAD_ORDER
 
 from conftest import DICTIONARIES, DYNAMICS_SOURCES
 
-CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS_DIR = ROOT / "configs"
 
 
 def base_config(dictionary):
@@ -41,9 +47,172 @@ def run(args):
 
 
 def test_config_schema_is_valid():
-    # load_config validates against a prebuilt validator and no longer
-    # re-checks the schema itself on every load
+    # load_config checks configs with an in-tree validator; jsonschema, the
+    # tests' oracle for it, must accept the schema itself
     jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+
+def test_cli_import_leaves_out_jsonschema():
+    # none of jsonschema and its dependencies may return to the import path
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    code = "import sys, invprox.cli; print(' '.join(sys.modules))"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr[-2000:]
+    loaded = {name.partition(".")[0] for name in result.stdout.split()}
+    assert "invprox" in loaded
+    assert not loaded & {"jsonschema", "jsonschema_specifications", "attrs",
+                         "referencing", "rpds"}
+
+
+def empirical_config():
+    config = base_config(DICTIONARIES["S3"])
+    del config["dynamics"]
+    config["backend"] = {"type": "empirical", "snapshot_path": "snaps.csv",
+                         "weights_path": "weights.csv"}
+    return config
+
+
+VALID_CONFIGS = [json.loads((CONFIGS_DIR / f"s{i}.json").read_text()) for i in (1, 2, 3)]
+VALID_CONFIGS.append(empirical_config())
+
+# Replacements that change a value's type or cross a bound, an enum or a const
+REPLACEMENTS = [True, False, None, "x", "real", "complex", "quadrature", "empirical",
+                0, 1, -1, 2, 2.0, 2.5, 0.0, -0.0, 5e-324, -1.5, 1000, 1001, 1000.0,
+                1001.0, [], [1.0], [[0.0, 1.0]], {}, {"type": "quadrature"}]
+
+
+def _paths(value, path=()):
+    yield path
+    children = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from _paths(child, (*path, key))
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config with one to three mutations."""
+    box = {"root": copy.deepcopy(draw(st.sampled_from(VALID_CONFIGS)))}
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(box))[1:]
+        kind = draw(st.sampled_from(["drop", "add", "replace", "resize", "backend"]))
+        if kind == "drop":  # any key but the root itself
+            keyed = [p for p in paths[1:] if isinstance(_at(box, p[:-1]), dict)]
+            if keyed:
+                path = draw(st.sampled_from(keyed))
+                del _at(box, path[:-1])[path[-1]]
+        elif kind == "add":
+            objects = [p for p in paths if isinstance(_at(box, p), dict)]
+            if objects:
+                target = _at(box, draw(st.sampled_from(objects)))
+                target[draw(st.sampled_from(["extra", "quadorder", "Order"]))] = 1
+        elif kind == "replace":
+            path = draw(st.sampled_from(paths))
+            _at(box, path[:-1])[path[-1]] = copy.deepcopy(
+                draw(st.sampled_from(REPLACEMENTS)))
+        elif kind == "resize":
+            arrays = [p for p in paths if isinstance(_at(box, p), list)]
+            if arrays:
+                target = _at(box, draw(st.sampled_from(arrays)))
+                how = draw(st.sampled_from(["shorten", "lengthen", "empty"]))
+                if how == "shorten" and target:
+                    target.pop()
+                elif how == "lengthen":
+                    target.append(copy.deepcopy(target[-1]) if target else 0.5)
+                else:
+                    target.clear()
+        elif isinstance(box["root"], dict) and isinstance(box["root"].get("backend"), dict):
+            # order on an empirical backend, a path on a quadrature backend
+            key = draw(st.sampled_from(["order", "snapshot_path", "weights_path"]))
+            box["root"]["backend"][key] = 20 if key == "order" else "other.csv"
+    return box["root"]
+
+
+def _oracle_verdict(config):
+    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(config))
+    if error is None:
+        return None
+    location = "/".join(str(p) for p in error.absolute_path) or "<root>"
+    return f"config schema violation at {location}: {error.message}"
+
+
+def _verdict(config, path):
+    path.write_text(json.dumps(config))
+    try:
+        load_config(path)
+    except ConfigError as exc:
+        if str(exc).startswith("config schema violation"):
+            return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(config=mutated_configs())
+def test_validator_matches_jsonschema(tmp_path_factory, config):
+    # the same verdict, location and message as jsonschema's best_match
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    assert _verdict(config, path) == _oracle_verdict(config)
+
+
+@pytest.mark.parametrize("config, message", [
+    pytest.param({"backend": {"type": "quadrature", "snapshot_path": "x"}},
+                 "at backend: False schema does not allow 'x'",
+                 id="false-then-quadrature"),
+    pytest.param({"backend": {"type": "empirical", "snapshot_path": "x", "order": 20.0}},
+                 "at backend: False schema does not allow 20.0",
+                 id="false-then-empirical"),
+    pytest.param({"backend": {"order": 20}},
+                 "at backend: 'snapshot_path' is a required property",
+                 id="missing-type"),
+    pytest.param({"backend": {"type": "empirical"}},
+                 "at backend: 'snapshot_path' is a required property",
+                 id="missing-snapshot-path"),
+    pytest.param({"state_dim": 0.0},
+                 "at state_dim: 0.0 is less than the minimum of 1",
+                 id="minimum"),
+    pytest.param({"state_dim": True},
+                 "at state_dim: True is not of type 'integer'",
+                 id="bool-not-integer"),
+    pytest.param({"domain": [[-1.0, 1.0], [1.0]]},
+                 "at domain/1: [1.0] is too short",
+                 id="too-short"),
+    pytest.param({"domain": [[-1.0, 1.0, 2.0]]},
+                 "at domain/0: [-1.0, 1.0, 2.0] is too long",
+                 id="too-long"),
+    pytest.param({"dictionary": []}, "at dictionary: [] should be non-empty", id="empty"),
+    pytest.param({"field": "complex"}, "at field: 'real' was expected", id="const"),
+    pytest.param({"backend": {"type": "spectral"}},
+                 "at backend/type: 'spectral' is not one of ['quadrature', 'empirical']",
+                 id="enum"),
+    pytest.param({"tolerances": {"rank_tol": -0.0}},
+                 "at tolerances/rank_tol: -0.0 is less than or equal to the minimum of 0",
+                 id="exclusive-minimum"),
+    pytest.param({"backend": {"type": "quadrature", "order": 1001}},
+                 "at backend/order: 1001 is greater than the maximum of 1000",
+                 id="maximum"),
+    pytest.param({"oracle": {"n_samples": 10, "seed": -1, "x": 1, "a": 2}},
+                 "at oracle: Additional properties are not allowed ('a', 'x' were unexpected)",
+                 id="additional-properties"),
+])
+def test_schema_messages(tmp_path, config, message):
+    # the text jsonschema's best_match gives for each keyword
+    full = base_config(DICTIONARIES["S2"])
+    full.update(config)
+    with pytest.raises(ConfigError) as info:
+        load_config(write_config(tmp_path, full))
+    assert str(info.value) == f"config schema violation {message}"
+    assert _oracle_verdict(full) == str(info.value)
 
 
 class TestProximityCommand:
@@ -174,6 +343,25 @@ class TestProximityCommand:
         assert time.perf_counter() - start < 2.0
         assert str(MAX_QUAD_ORDER) in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("case", ["missing config", "quad order", "schema",
+                                      "expression"])
+    def test_config_error_creates_no_out_dir(self, tmp_path, capsys, case):
+        config = base_config(DICTIONARIES["S2"])
+        if case == "schema":
+            config["state_dim"] = 0
+        elif case == "expression":
+            config["dictionary"] = ["x1 +"]
+        path = write_config(tmp_path, config)
+        args = ["proximity", "--config", path]
+        if case == "missing config":
+            args[2] = tmp_path / "nope.json"
+        elif case == "quad order":
+            args.extend(["--quad-order", 20000])
+        out = tmp_path / "out" / "nested"
+        assert run([*args, "--out", out]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_expression_rejected(self, tmp_path):
         config = base_config(DICTIONARIES["S1"])
