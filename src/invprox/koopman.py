@@ -50,6 +50,8 @@ DEFAULT_RANK_TOL = 1e-12  # relative to the largest singular value
 DEFAULT_QUAD_TOL = 1e-9
 _ZERO_IMAGE_TOL = 1e-14
 _ORACLE_REFINE_STEPS = 200
+_ORACLE_MAX_STEP = 0.5  # radians
+_ORACLE_BLOCK_ROWS = 4096
 
 
 class InconsistentSystem(ArithmeticError):
@@ -199,7 +201,8 @@ class InvarianceAnalysis:
         self.quad_tol = float(quad_tol)
         self._warnings: list[str] = []
 
-        factor = space.koopman_factor(self.atoms, dynamics)
+        program = _AtomProgram(self.atoms)  # compiled once, for the check too
+        factor = space.koopman_factor(program, dynamics)
         m = len(self.atoms)
         self.dim_w = _rank(np.linalg.svd(factor, compute_uv=False), self.rank_tol)
 
@@ -229,19 +232,19 @@ class InvarianceAnalysis:
         self.proximity = float(np.sin(self.angles[-1]))
 
         if check_quadrature and isinstance(space, QuadratureSpace):
-            self._check_quadrature(factor)
+            self._check_quadrature(program, factor)
 
         self._witness_coeffs = None
         self._witness_diag = {}
 
     # -- diagnostics ----------------------------------------------------------
 
-    def _check_quadrature(self, factor):
+    def _check_quadrature(self, program, factor):
         """Recompute the Gram blocks at order ceil(q/2) (order 1: at 2); warn
         on drift. If the coarser rule agrees, the base rule has converged."""
         check = self.space.refined(0.5 if self.space.order > 1 else 2)
         m = len(self.atoms)
-        check_factor = check.koopman_factor(self.atoms, self.dynamics)
+        check_factor = check.koopman_factor(program, self.dynamics)
         base_gram, check_gram = factor.T @ factor, check_factor.T @ check_factor
         blocks = (np.s_[:m, :m], np.s_[:m, m:], np.s_[m:, m:])
         for name, block in zip(("dictionary", "cross", "image"), blocks):
@@ -447,59 +450,85 @@ def proximity_oracle(analysis, n_samples=10000, seed=0):
 
     Draws ``n_samples`` coefficient vectors uniformly from the unit sphere of
     the orthonormalized subspace, evaluates the relative projection error of
-    each image, and refines the best sample by projected gradient ascent with
-    central finite differences (initial step 1e-3, halved on failure). By
-    construction no sample can exceed the closed-form value.
+    each image, and refines the best (first) sample by projected gradient
+    ascent with central finite differences and an adaptive step (at most
+    ``_ORACLE_REFINE_STEPS`` steps). The samples are drawn and scored in
+    blocks of ``_ORACLE_BLOCK_ROWS`` rows, the same draws as one call, so
+    memory does not grow with ``n_samples``. By construction no sample can
+    exceed the closed-form value.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     a_k = analysis.basis_image_map
     q = analysis.q_s.coeffs
+    # one product gives each image and its residual off S: the residual map
+    # is the image map less its projection onto S
+    maps = np.vstack([a_k, a_k - q @ (q.T @ a_k)]).T
+    dim_w = a_k.shape[0]
 
-    def errors_of(unit_rows):
+    def errors_of(rows):
         """Relative errors of coefficient rows; -1 where the image vanishes."""
-        images = unit_rows @ a_k.T
-        norms = np.linalg.norm(images, axis=1)
+        squares = rows @ maps
+        squares *= squares
+        norms = np.sqrt(squares[:, :dim_w].sum(axis=1))
         valid = norms > _ZERO_IMAGE_TOL
-        residual = np.linalg.norm(images - (images @ q) @ q.T, axis=1)
+        residual = np.sqrt(squares[:, dim_w:].sum(axis=1))
         return np.where(valid, residual / np.where(valid, norms, 1.0), -1.0)
 
     rng = np.random.default_rng(seed)
-    samples = rng.standard_normal((n_samples, a_k.shape[1]))
-    samples /= np.linalg.norm(samples, axis=1, keepdims=True)
-    errors = errors_of(samples)
-    index = int(np.argmax(errors))  # sample 0, at zero error, if every image vanishes
-    best, best_error = _refine(errors_of, samples[index], max(errors[index], 0.0),
-                                _ORACLE_REFINE_STEPS)
+    best, best_error, n_excluded = None, -np.inf, 0
+    for lo in range(0, n_samples, _ORACLE_BLOCK_ROWS):
+        samples = rng.standard_normal((min(_ORACLE_BLOCK_ROWS, n_samples - lo), a_k.shape[1]))
+        samples /= np.linalg.norm(samples, axis=1, keepdims=True)
+        errors = errors_of(samples)
+        n_excluded += int(np.count_nonzero(errors < 0))
+        index = int(np.argmax(errors))  # row 0, at zero error, if every image vanishes
+        if errors[index] > best_error:
+            best, best_error = samples[index].copy(), errors[index]
+    best, best_error = _refine(errors_of, best, max(best_error, 0.0), _ORACLE_REFINE_STEPS)
     raw_coeffs = analysis.dictionary_basis @ best
     return OracleResult(
         max_error=float(best_error),
         argmax_coeffs=raw_coeffs,
         n_samples=n_samples,
-        n_excluded=int(np.count_nonzero(errors < 0)),
+        n_excluded=n_excluded,
     )
 
 
 def _refine(errors_of, point, value, max_steps, step=1e-3, fd_step=1e-6):
-    """Projected gradient ascent on the unit sphere, shrink-on-fail."""
+    """Projected gradient ascent on the unit sphere with central finite
+    differences. The step doubles (up to ``_ORACLE_MAX_STEP``) after an
+    accepted candidate and halves after a rejected one; the ascent stops
+    below 1e-12, at a vanishing gradient, or next to a vanishing image. Each
+    candidate is scored in one call together with its probes, so an accepted
+    one brings its gradient along and a rejected one costs no new probes."""
     n = point.shape[0]
-    bumps = fd_step * np.eye(n)
+    offsets = fd_step * np.vstack([np.zeros(n), np.eye(n), -np.eye(n)])
+
+    def probe(center):
+        """Errors at the unit ``center`` (row 0) and its probes, and the
+        gradient there, projected onto the tangent space. A relative error
+        does not change with the scale of its row, so the probes, off the
+        sphere by about ``fd_step**2 / 2``, are not normalized."""
+        errors = errors_of(center + offsets)
+        gradient = (errors[1:n + 1] - errors[n + 1:]) / (2 * fd_step)
+        return errors, gradient - (gradient @ center) * center
+
+    errors, gradient = probe(point)
+    if np.any(errors < 0):
+        return point, value
     for _ in range(max_steps):
-        probes = np.vstack([point + bumps, point - bumps])
-        probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-        probe_errors = errors_of(probes)
-        if np.any(probe_errors < 0):
-            return point, value
-        gradient = (probe_errors[:n] - probe_errors[n:]) / (2 * fd_step)
-        gradient -= (gradient @ point) * point
         norm = np.linalg.norm(gradient)
         if norm < 1e-14:
             break
         candidate = point + step * gradient / norm
         candidate /= np.linalg.norm(candidate)
-        cand_value = float(errors_of(candidate[None])[0])
-        if cand_value > value:
-            point, value = candidate, cand_value
+        errors, cand_gradient = probe(candidate)
+        if errors[0] > value:
+            point, value, gradient = candidate, float(errors[0]), cand_gradient
+            if np.any(errors < 0):
+                break
+            step = min(2 * step, _ORACLE_MAX_STEP)
         else:
             step *= 0.5
             if step < 1e-12:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -260,15 +260,15 @@ class _InnerProductBackend:
         ``(2m + rows) * 2m * 8`` bytes for the buffer, the same again for
         LAPACK's copy, and ``rows * (d + live subtrees) * 8`` bytes for the
         evaluation, whatever the node count. The dictionary is compiled once
-        per call. A NonFiniteValue reports the first block with an inf/nan,
-        in it Psi before K Psi, and then the first atom and its first point.
+        per call, or not at all if ``atoms`` is an ``_AtomProgram`` already. A
+        NonFiniteValue reports the first block with an inf/nan, in it Psi
+        before K Psi, and then the first atom and its first point.
         """
-        atoms = tuple(atoms)
-        if not atoms:
+        program = atoms if isinstance(atoms, _AtomProgram) else _AtomProgram(atoms)
+        m = len(program.atoms)
+        if not m:
             raise ValueError("atom list must be nonempty")
-        m = len(atoms)
         rows = max(2 * m, _QR_BLOCK_VALUES // (2 * m))
-        program = _AtomProgram(atoms)
         buf = np.empty((2 * m + rows, 2 * m))
         top = 0  # rows of R at the top of buf: min(2m, nodes folded so far)
         for nodes, weights, images in self._blocks(rows, dynamics):
@@ -281,6 +281,16 @@ class _InnerProductBackend:
             top = R.shape[0]
             buf[:top] = R
         return R
+
+
+@lru_cache(maxsize=32)
+def _gauss_legendre(order):
+    """Read-only nodes and weights of the 1-d Gauss-Legendre rule on [-1, 1],
+    computed once per order."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
 class QuadratureSpace(_InnerProductBackend):
@@ -299,7 +309,7 @@ class QuadratureSpace(_InnerProductBackend):
         self.domain = domain
         self.order = int(order)
         self.n_nodes = self.order ** domain.state_dim
-        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(self.order)
+        ref_nodes, ref_weights = _gauss_legendre(self.order)
         halves = [0.5 * (b - a) for a, b in domain.bounds]
         self._axes = [h * ref_nodes + 0.5 * (a + b)
                       for h, (a, b) in zip(halves, domain.bounds)]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +25,7 @@ from invprox import (
     trajectory_errors,
 )
 
-from invprox import expr
+from invprox import expr, koopman
 from invprox.space import _AtomProgram, _atom_label
 
 from conftest import DYNAMICS_SOURCES, gauss_legendre_2d, sweep_atoms
@@ -295,6 +297,71 @@ class TestOracle:
         assert a.max_error == b.max_error
         assert np.array_equal(a.argmax_coeffs, b.argmax_coeffs)
 
+    def test_memory_does_not_grow_with_n_samples(self, quad, dynamics, dictionaries):
+        analysis = InvarianceAnalysis(dictionaries["S3"], quad, dynamics)
+        proximity_oracle(analysis, n_samples=10, seed=0)  # first-call allocations
+        peaks = []
+        for n in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                proximity_oracle(analysis, n_samples=n, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # all samples at once peaked at 5.8 and 58.2 MiB
+        assert max(peaks) <= 1.1 * min(peaks)
+
+    def test_blocks_draw_the_samples_of_one_call(self, quad, dynamics, dictionaries,
+                                                 monkeypatch):
+        analysis = InvarianceAnalysis(dictionaries["S3"], quad, dynamics)
+        starts = []
+        refine = koopman._refine
+        monkeypatch.setattr(koopman, "_refine", lambda errors_of, point, *args: (
+            starts.append(point) or refine(errors_of, point, *args)))
+        n = 3 * koopman._ORACLE_BLOCK_ROWS + 5
+        proximity_oracle(analysis, n_samples=n, seed=7)
+        samples = np.random.default_rng(7).standard_normal((n, analysis.dim_s))
+        samples /= np.linalg.norm(samples, axis=1, keepdims=True)
+        images = samples @ analysis.basis_image_map.T
+        q = analysis.q_s.coeffs
+        errors = (np.linalg.norm(images - (images @ q) @ q.T, axis=1)
+                  / np.linalg.norm(images, axis=1))
+        best = int(np.argmax(errors))
+        assert best >= 2 * koopman._ORACLE_BLOCK_ROWS  # in the third block
+        assert np.array_equal(starts, [samples[best]])
+
+
+_ROTATED_S3 = ("1", "x1+x2", "x1-x2", "x1^2", "x2^2")  # the span of S3
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_oracle_reaches_the_closed_form(quad, dynamics, dictionaries, seed):
+    # with 200 steps of at most 1e-3 the rotated basis stopped at 0.803694
+    # (seed 0) and S3 at 0.822738, against the closed form 0.823017062
+    found = {}
+    for name, atoms in (("S2", dictionaries["S2"]), ("S3", dictionaries["S3"]),
+                        ("rotated S3", _atoms(*_ROTATED_S3))):
+        analysis = InvarianceAnalysis(atoms, quad, dynamics)
+        found[name] = proximity_oracle(analysis, n_samples=10000, seed=seed).max_error
+        assert abs(found[name] - analysis.proximity) <= 1e-9
+    assert abs(found["S3"] - found["rotated S3"]) <= 1e-9
+
+
+def test_s3_refinement_stops_before_the_step_cap(quad, dynamics, dictionaries, monkeypatch):
+    analysis = InvarianceAnalysis(dictionaries["S3"], quad, dynamics)
+    candidates = []
+    refine = koopman._refine
+
+    def counting(errors_of, *args):
+        calls = []
+        result = refine(lambda rows: calls.append(1) or errors_of(rows), *args)
+        candidates.append(len(calls) - 1)  # the first call probes the start
+        return result
+
+    monkeypatch.setattr(koopman, "_refine", counting)
+    proximity_oracle(analysis, n_samples=10000, seed=0)
+    assert 0 < candidates[0] < koopman._ORACLE_REFINE_STEPS
+
 
 _ORACLE_SPACE = QuadratureSpace(Domain(((-1.0, 1.0), (-1.0, 1.0))), 12)
 _ORACLE_DYNAMICS = DynamicsMap.from_strings(DYNAMICS_SOURCES, 2)
@@ -310,6 +377,17 @@ def test_oracle_never_exceeds_closed_form(subset, seed):
                                   check_quadrature=False)
     result = proximity_oracle(analysis, n_samples=500, seed=seed)
     assert 0.0 <= result.max_error <= analysis.proximity + 1e-8
+
+
+def test_dictionary_compiled_once_per_analysis(quad, dynamics, dictionaries, monkeypatch):
+    dynamics(np.zeros((1, 2)))  # the map compiles its own program on first use
+    compiled = []
+    original = expr._compile
+    monkeypatch.setattr(expr, "_compile",
+                        lambda roots: compiled.append(len(roots)) or original(roots))
+    analysis = InvarianceAnalysis(dictionaries["S3"], quad, dynamics)
+    assert analysis.diagnostics()["quad_order"] == 20  # the check ran at order 10
+    assert compiled == [5]
 
 
 class TestResiduals:

@@ -179,6 +179,27 @@ class TestQuadrature:
         check = QuadratureSpace(box4, 20).refined(0.5)
         assert check.nodes.shape == (10**4, 4)
 
+    def test_gauss_legendre_rule_is_computed_once_per_order(self, monkeypatch):
+        leggauss = np.polynomial.legendre.leggauss
+        calls = []
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda order: calls.append(order) or leggauss(order))
+        space_module._gauss_legendre.cache_clear()
+        box = Domain(((-1.0, 2.0), (0.5, 3.0)))
+        spaces = [QuadratureSpace(box, 17), QuadratureSpace(box, 17)]
+        assert spaces[0].refined(0.5).order == 9
+        assert calls == [17, 9]
+        assert not any(a.flags.writeable for a in space_module._gauss_legendre(17))
+        # the nodes and weights that one leggauss call per space gave
+        t, w = leggauss(17)
+        (a1, b1), (a2, b2) = box.bounds
+        x1, x2 = 0.5 * (b1 - a1) * t + 0.5 * (a1 + b1), 0.5 * (b2 - a2) * t + 0.5 * (a2 + b2)
+        nodes = np.column_stack([np.repeat(x1, 17), np.tile(x2, 17)])
+        weights = np.outer(0.5 * (b1 - a1) * w, 0.5 * (b2 - a2) * w).ravel()
+        for space in spaces:
+            assert np.array_equal(space.nodes, nodes)
+            assert np.array_equal(space.weights, weights)
+
 
 class TestKoopmanBlocks:
     def test_scaled_coordinate(self, quad, dynamics):
