@@ -89,15 +89,18 @@ def _psd_eigh(G, rank_tol):
     return eigenvalues[:rank], vectors[:, :rank]
 
 
+def _unit_factors(values):
+    """Unit factors that make each value real and nonnegative (1 at zero)."""
+    if np.iscomplexobj(values):
+        magnitude = np.abs(values)
+        return np.where(magnitude > 0, np.conj(values) / np.where(magnitude > 0, magnitude, 1.0), 1.0)
+    return np.where(values < 0, -1.0, 1.0)
+
+
 def _canonical_columns(vectors):
     """Fix the sign/phase ambiguity: largest-magnitude entry made real positive."""
     leads = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
-    if np.iscomplexobj(vectors):
-        magnitude = np.abs(leads)
-        factors = np.where(magnitude > 0, np.conj(leads) / np.where(magnitude > 0, magnitude, 1.0), 1.0)
-    else:
-        factors = np.where(leads < 0, -1.0, 1.0)
-    return vectors * factors
+    return vectors * _unit_factors(leads)
 
 
 def orthonormalize(gram, rank_tol=DEFAULT_RANK_TOL):
@@ -244,10 +247,4 @@ def principal_angles(qu, qv):
 
 def _fix_phases(u_vectors, v_vectors):
     """Scale each u_i by a unit factor so <u_i, v_i> is real nonnegative."""
-    pairing = np.sum(v_vectors.conj() * u_vectors, axis=0)
-    if np.iscomplexobj(u_vectors) or np.iscomplexobj(v_vectors):
-        magnitude = np.abs(pairing)
-        factors = np.where(magnitude > 0, np.conj(pairing) / np.where(magnitude > 0, magnitude, 1.0), 1.0)
-    else:
-        factors = np.where(pairing < 0, -1.0, 1.0)
-    return u_vectors * factors
+    return u_vectors * _unit_factors(np.sum(v_vectors.conj() * u_vectors, axis=0))

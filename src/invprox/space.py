@@ -215,15 +215,14 @@ class _InnerProductBackend:
     def norm(self, f):
         return float(np.sqrt(max(self.inner_product(f, f), 0.0)))
 
-    def gram(self, atoms, labels=None):
+    def gram(self, atoms):
         """Gram matrix of the atom list; atoms are evaluated once per node."""
         atoms = tuple(atoms)
         if not atoms:
             raise ValueError("atom list must be nonempty")
-        if labels is None:
-            labels = [_atom_label(a, i) for i, a in enumerate(atoms)]
-        values = _AtomProgram(atoms).values(self.nodes, lambda atom, i: labels[i])
-        return GramMatrix(_weighted_gram(values, self.weights), tuple(labels))
+        values = _AtomProgram(atoms).values(self.nodes)
+        labels = tuple(_atom_label(a, i) for i, a in enumerate(atoms))
+        return GramMatrix(_weighted_gram(values, self.weights), labels)
 
     def _blocks(self, rows, dynamics):
         """``(nodes, weights, image points)`` of consecutive blocks of at most

@@ -590,6 +590,19 @@ class TestOracleCommand:
         payload = json.loads((tmp_path / "oracle.json").read_text())
         assert payload["oracle_max"] <= payload["closed_form"] + 1e-8
 
+    @pytest.mark.parametrize("scale", ["0", "1e-9", "1e-13"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_nearly_vanishing_image_is_no_internal_error(self, tmp_path, scale, seed):
+        # K(S) lies in S, so the closed form is rounding; x1 has an image of
+        # norm scale, whose residual rounding once made the oracle exit 4
+        config = json.loads((CONFIGS_DIR / "s1.json").read_text())
+        config["dynamics"] = [f"{scale}*x1", "x2"]
+        config["dictionary"] = ["1", "x1", "x2"]
+        assert run(["oracle", "--config", write_config(tmp_path, config),
+                    "--out", tmp_path, "--seed", str(seed)]) == 0
+        payload = json.loads((tmp_path / "oracle.json").read_text())
+        assert payload["oracle_max"] <= payload["closed_form"] + 1e-8
+
 
 class TestResidualsCommand:
     def test_invariant_subspace(self, tmp_path):
