@@ -364,13 +364,13 @@ def _read_weights(path):
 
 
 def build_space(config):
-    try:
+    backend = config["backend"]
+    try:  # an invalid interval, or a rule above the node budget
         domain = Domain(tuple(tuple(b) for b in config["domain"]))
+        if backend["type"] == "quadrature":
+            return QuadratureSpace(domain, backend.get("order", DEFAULT_QUAD_ORDER))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    backend = config["backend"]
-    if backend["type"] == "quadrature":
-        return QuadratureSpace(domain, backend.get("order", DEFAULT_QUAD_ORDER))
     try:
         snapshots_x, snapshots_y = read_snapshots(backend["snapshot_path"])
     except (OSError, ValueError) as exc:

@@ -17,6 +17,12 @@ condition number is not squared. The worst-case relative projection error
 of the model over S equals the sine of the largest principal angle between
 those bases (Bjorck & Golub), and a maximizing witness function is any
 preimage of the top principal vector on the image side.
+
+A quadrature analysis always checks its rule: it recomputes dim S, dim K(S)
+and the proximity from the factor of the coarser rule of order ceil(q/2),
+and warns if a dimension differs or the proximity moves by ``quad_tol``.
+All three depend on the spans alone, so two bases of one span get the same
+verdict.
 """
 
 from __future__ import annotations
@@ -190,7 +196,6 @@ class InvarianceAnalysis:
         dynamics=None,
         rank_tol=DEFAULT_RANK_TOL,
         quad_tol=DEFAULT_QUAD_TOL,
-        check_quadrature=True,
     ):
         self.atoms = tuple(atoms)
         if not self.atoms:
@@ -231,34 +236,37 @@ class InvarianceAnalysis:
         self.angles = self.decomposition.angles
         self.proximity = float(np.sin(self.angles[-1]))
 
-        if check_quadrature and isinstance(space, QuadratureSpace):
-            self._check_quadrature(program, factor)
+        if isinstance(space, QuadratureSpace):
+            self._check_quadrature(program)
 
         self._witness_coeffs = None
         self._witness_diag = {}
 
     # -- diagnostics ----------------------------------------------------------
 
-    def _check_quadrature(self, program, factor):
-        """Recompute the Gram blocks at order ceil(q/2) (order 1: at 2); warn
-        on drift. If the coarser rule agrees, the base rule has converged."""
+    def _check_quadrature(self, program):
+        """Recompute dim S, dim K(S) and the proximity at order ceil(q/2)
+        (order 1: at 2); warn if a dimension differs or the proximity moves by
+        ``quad_tol`` or more. If the coarser rule agrees, the base rule has
+        converged."""
         check = self.space.refined(0.5 if self.space.order > 1 else 2)
-        m = len(self.atoms)
-        check_factor = check.koopman_factor(program, self.dynamics)
-        base_gram, check_gram = factor.T @ factor, check_factor.T @ check_factor
-        blocks = (np.s_[:m, :m], np.s_[:m, m:], np.s_[m:, m:])
-        for name, block in zip(("dictionary", "cross", "image"), blocks):
-            base, other = base_gram[block], check_gram[block]
-            scale = max(np.max(np.abs(base)), 1e-300)
-            drift = float(np.max(np.abs(other - base)) / scale)
-            if drift >= self.quad_tol:
-                message = (
-                    f"quadrature order {self.space.order} not converged: "
-                    f"{name} Gram block changes by {drift:.3e} relative at "
-                    f"order {check.order}"
-                )
-                warnings.warn(message, stacklevel=3)
-                self._warnings.append(message)
+        factor = check.koopman_factor(program, self.dynamics)
+        (u, sigma, _), (u_image, sigma_image, _) = (
+            np.linalg.svd(block, full_matrices=False) for block in np.hsplit(factor, 2))
+        dim_s, dim_ks = _rank(sigma, self.rank_tol), _rank(sigma_image, self.rank_tol)
+        q, q_image = u[:, :dim_s], u_image[:, :dim_ks]
+        proximity = np.nan  # the top sine between the spans, if neither is empty
+        if dim_s and dim_ks:
+            proximity = np.linalg.norm(q_image - q @ (q.T @ q_image), 2)
+        drift = abs(proximity - self.proximity)
+        if (dim_s, dim_ks) != (self.dim_s, self.dim_ks) or drift >= self.quad_tol:
+            message = (
+                f"quadrature order {self.space.order} not converged: proximity changes "
+                f"by {drift:.3e}, dim S {self.dim_s} -> {dim_s}, dim K(S) "
+                f"{self.dim_ks} -> {dim_ks} at order {check.order}"
+            )
+            warnings.warn(message, stacklevel=3)
+            self._warnings.append(message)
 
     def diagnostics(self):
         diag = {
@@ -308,7 +316,8 @@ class InvarianceAnalysis:
         Solves for dictionary coefficients whose operator image is the top
         principal vector on the image side; the minimum-norm least-squares
         solution fixes the non-uniqueness when the operator is not injective
-        on S. The preimage always exists, so a residual beyond 1e-8 signals
+        on S, and the sign makes its largest-magnitude coefficient positive.
+        The preimage always exists, so a residual beyond 1e-8 signals
         numerical breakdown and raises :class:`InconsistentSystem`.
         """
         if self._witness_coeffs is None:
@@ -331,7 +340,7 @@ class InvarianceAnalysis:
                 )
                 warnings.warn(message, stacklevel=2)
                 self._warnings.append(message)
-            self._witness_coeffs = coeffs
+            self._witness_coeffs = _signed(coeffs)
         return FunctionVec(self._witness_coeffs, self.atoms)
 
     def restricted_norm(self):
@@ -384,19 +393,24 @@ class InvarianceAnalysis:
 
 def _rank(sigma, rank_tol):
     """Number of singular values (descending) above rank_tol times the largest."""
-    rank = int(np.count_nonzero(sigma > rank_tol * sigma[0]))
-    if rank == 0:
-        raise DegenerateSpace("no singular value above the rank tolerance")
-    return rank
+    return int(np.count_nonzero(sigma > rank_tol * sigma[0]))
+
+
+def _signed(v):
+    """``v`` times the sign that makes its largest-magnitude entry positive."""
+    return v * _unit_factors(v[np.argmax(np.abs(v))])
 
 
 def _span_basis(coords, rank_tol):
     """``(q, basis, rank)`` with ``q = coords @ basis`` orthonormal, spanning
     the columns of ``coords``. Columns go by descending singular value, each
     signed so that the largest-magnitude entry of its ``basis`` column is
-    positive (the ``geometry.orthonormalize`` convention)."""
+    positive (the ``geometry.orthonormalize`` convention). Raises
+    :class:`DegenerateSpace` if no column is above the rank tolerance."""
     u, sigma, vt = np.linalg.svd(coords, full_matrices=False)
     rank = _rank(sigma, rank_tol)
+    if rank == 0:
+        raise DegenerateSpace("no singular value above the rank tolerance")
     v = vt[:rank].T
     signs = _unit_factors(v[np.argmax(np.abs(v), axis=0), np.arange(rank)])
     return u[:, :rank] * signs, v * signs / sigma[:rank], rank
@@ -424,7 +438,6 @@ def invariance_proximity(
     dynamics=None,
     rank_tol=DEFAULT_RANK_TOL,
     quad_tol=DEFAULT_QUAD_TOL,
-    check_quadrature=True,
 ):
     """Worst-case relative projection error of the model on span(atoms).
 
@@ -439,7 +452,6 @@ def invariance_proximity(
         dynamics,
         rank_tol=rank_tol,
         quad_tol=quad_tol,
-        check_quadrature=check_quadrature,
     )
     return analysis.report()
 
@@ -451,7 +463,8 @@ def proximity_oracle(analysis, n_samples=10000, seed=0):
     Draws ``n_samples`` coefficient vectors uniformly from the unit sphere of
     the orthonormalized subspace, evaluates the relative projection error of
     each image, and refines the best (first) sample by a Rayleigh-Ritz ascent
-    (at most ``_ORACLE_REFINE_STEPS`` candidates). The samples are drawn and
+    (at most ``_ORACLE_REFINE_STEPS`` candidates); ``argmax_coeffs`` is signed
+    so that its largest-magnitude entry is positive. The samples are drawn and
     scored in blocks of ``_ORACLE_BLOCK_ROWS`` rows, the same draws as one
     call, so memory does not grow with ``n_samples``. An image shorter than
     1e-7 times the largest image of a unit vector counts as vanishing
@@ -490,10 +503,9 @@ def proximity_oracle(analysis, n_samples=10000, seed=0):
         if errors[index] > best_error:
             best, best_error = samples[index].copy(), errors[index]
     best, best_error = _refine(errors_of, best, max(best_error, 0.0), _ORACLE_REFINE_STEPS, maps)
-    raw_coeffs = analysis.dictionary_basis @ best
     return OracleResult(
         max_error=float(best_error),
-        argmax_coeffs=raw_coeffs,
+        argmax_coeffs=_signed(analysis.dictionary_basis @ best),
         n_samples=n_samples,
         n_excluded=n_excluded,
     )
@@ -505,9 +517,10 @@ def _refine(errors_of, point, value, max_steps, maps):
     the image and residual halves of ``maps``, so its maximum over a small
     subspace is the top eigenvector of the pencil of the two forms. Each step
     takes it over the span of c, the ascent direction and the previous point,
-    and keeps it only if ``errors_of`` scores it strictly higher; the ascent
-    stops at the first candidate that is not, or when an image in the span
-    vanishes."""
+    and keeps it only if ``errors_of`` scores it more than 4 eps higher; the
+    ascent stops at the first candidate that is not, or when an image in the
+    span vanishes. The gain is absolute: errors lie in [0, 1], and on an
+    invariant subspace, whose errors are rounding, no relative gain stops it."""
     image, residual = np.hsplit(maps, 2)
     previous = []
     for _ in range(max_steps):
@@ -523,7 +536,7 @@ def _refine(errors_of, point, value, max_steps, maps):
         candidate = span @ np.linalg.solve(lower.T, top)
         candidate /= np.linalg.norm(candidate)
         error = errors_of(candidate[None])[0]
-        if not error > value:
+        if not error > value + 4 * np.finfo(float).eps:
             break
         previous, point, value = [point], candidate, float(error)
     return point, value

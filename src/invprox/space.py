@@ -60,6 +60,9 @@ MAX_QUAD_ORDER = 1000
 # block, which raises the dict-sweep benchmark's peak RSS from 40.6 MiB to
 # 43.3-43.6 MiB.
 _QR_BLOCK_VALUES = 2**16
+# A tensor rule of more nodes is refused: evaluating and folding them takes
+# about 0.45 us per node on 2 vCPUs, so 2**26 nodes take about 30 s.
+MAX_QUAD_NODES = 2**26
 
 
 class NonFiniteValue(ArithmeticError):
@@ -308,6 +311,12 @@ class QuadratureSpace(_InnerProductBackend):
         self.domain = domain
         self.order = int(order)
         self.n_nodes = self.order ** domain.state_dim
+        if self.n_nodes > MAX_QUAD_NODES:
+            fit = round(MAX_QUAD_NODES ** (1 / domain.state_dim))
+            fit -= fit ** domain.state_dim > MAX_QUAD_NODES
+            raise ValueError(f"quadrature order {self.order} in {domain.state_dim} dimensions has "
+                             f"{self.n_nodes} nodes, more than the {MAX_QUAD_NODES} allowed; "
+                             f"the largest order that fits is {fit}")
         ref_nodes, ref_weights = _gauss_legendre(self.order)
         halves = [0.5 * (b - a) for a, b in domain.bounds]
         self._axes = [h * ref_nodes + 0.5 * (a + b)

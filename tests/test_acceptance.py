@@ -52,8 +52,7 @@ def test_criterion_2_oracle_tightness(quad, dynamics, dictionaries):
     ok = True
     for name in ("S2", "S3"):
         atoms = dictionaries[name]
-        analysis = InvarianceAnalysis(atoms, quad, dynamics,
-                                      check_quadrature=False)
+        analysis = InvarianceAnalysis(atoms, quad, dynamics)
         result = proximity_oracle(analysis, n_samples=10000, seed=0)
         closed = analysis.proximity
         ok &= result.max_error <= closed + 1e-8
@@ -137,8 +136,7 @@ def test_criterion_4_principal_angle_oracle():
 
 def test_criterion_5_basis_and_measure_invariance(quad, dynamics, dictionaries):
     atoms = dictionaries["S2"]
-    baseline = InvarianceAnalysis(atoms, quad, dynamics,
-                                  check_quadrature=False).proximity
+    baseline = InvarianceAnalysis(atoms, quad, dynamics).proximity
     rng = np.random.default_rng(99)
     ok = True
     for _ in range(20):
@@ -147,8 +145,7 @@ def test_criterion_5_basis_and_measure_invariance(quad, dynamics, dictionaries):
             if np.linalg.cond(A) < 1e3:
                 break
         reparam = tuple(FunctionVec(row, atoms) for row in A)
-        value = InvarianceAnalysis(reparam, quad, dynamics,
-                                   check_quadrature=False).proximity
+        value = InvarianceAnalysis(reparam, quad, dynamics).proximity
         ok &= abs(value - baseline) <= 1e-9
     nodes = quad.nodes
     images = dynamics(nodes)
@@ -181,8 +178,7 @@ def test_criterion_6_prediction_error_ordering(tmp_path):
 def test_criterion_7_residual_bound(quad, dynamics, dictionaries):
     ok = True
     for atoms in dictionaries.values():
-        analysis = InvarianceAnalysis(atoms, quad, dynamics,
-                                      check_quadrature=False)
+        analysis = InvarianceAnalysis(atoms, quad, dynamics)
         bound = analysis.restricted_norm() * analysis.proximity
         for _, residual in analysis.residuals():
             ok &= residual <= bound + 1e-8
@@ -200,8 +196,7 @@ def test_criterion_7_residual_bound(quad, dynamics, dictionaries):
 def test_criterion_8_error_expansion_identity(quad, dynamics, dictionaries):
     ok = True
     for atoms in dictionaries.values():
-        analysis = InvarianceAnalysis(atoms, quad, dynamics,
-                                      check_quadrature=False)
+        analysis = InvarianceAnalysis(atoms, quad, dynamics)
         v_vectors = analysis.decomposition.v_vectors
         sines_sq = np.sin(analysis.angles) ** 2
         rng = np.random.default_rng(8)
@@ -223,8 +218,7 @@ def test_criterion_9_empirical_quadrature_consistency(quad, dynamics, dictionari
     space = EmpiricalSpace(nodes, dynamics(nodes), weights=quad.weights)
     ok = True
     for atoms in dictionaries.values():
-        via_quadrature = InvarianceAnalysis(atoms, quad, dynamics,
-                                            check_quadrature=False).proximity
+        via_quadrature = InvarianceAnalysis(atoms, quad, dynamics).proximity
         via_snapshots = InvarianceAnalysis(atoms, space).proximity
         ok &= abs(via_quadrature - via_snapshots) <= 1e-6
     report(9, "node-as-snapshot construction reproduces quadrature proximity", ok)

@@ -16,7 +16,7 @@ from invprox import DynamicsMap, Expr, QuadratureSpace, Domain, write_snapshots
 from invprox.cli import CONFIG_SCHEMA, ConfigError, load_config, main
 from invprox.space import MAX_QUAD_ORDER
 
-from conftest import DICTIONARIES, DYNAMICS_SOURCES
+from conftest import DICTIONARIES, DYNAMICS_SOURCES, bench_module
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS_DIR = ROOT / "configs"
@@ -363,6 +363,37 @@ class TestProximityCommand:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("case", ["config", "flag"])
+    def test_node_budget_is_config_error(self, tmp_path, capsys, case):
+        # 20^8 = 2.56e10 nodes would be hours of evaluation
+        config = base_config(["1", "x1"])
+        dim = 8 if case == "config" else 4
+        config.update(state_dim=dim, domain=[[-1.0, 1.0]] * dim, dynamics=["0.5*x1"] * dim)
+        del config["backend"]["order"]  # the default, 20
+        args = ["proximity", "--config", write_config(tmp_path, config)]
+        if case == "flag":
+            args += ["--quad-order", 91]
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert run([*args, "--out", out]) == 2
+        assert time.perf_counter() - start < 1.0
+        nodes, fit = (20**8, 9) if case == "config" else (91**4, 90)
+        err = capsys.readouterr().err
+        assert f"{nodes} nodes" in err and f"the largest order that fits is {fit}" in err
+        assert not out.exists()
+
+    def test_vanishing_coarse_rule_warns(self, tmp_path):
+        # order 2 is checked at order 1, one node at the origin, where every
+        # atom vanishes: the coarser rule spans nothing, which is a warning
+        config = base_config(["x1", "x2"])
+        config["backend"]["order"] = 2
+        with pytest.warns(UserWarning, match=r"dim S 2 -> 0, dim K\(S\) 2 -> 0 at order 1$"):
+            assert run(["proximity", "--config", write_config(tmp_path, config),
+                        "--out", tmp_path]) == 0
+        report = json.loads((tmp_path / "proximity.json").read_text())
+        [warning] = report["diagnostics"]["warnings"]
+        assert warning.startswith("quadrature order 2 not converged: proximity changes by nan")
+
     def test_bad_expression_rejected(self, tmp_path):
         config = base_config(DICTIONARIES["S1"])
         config["dictionary"] = ["x1 +"]
@@ -452,6 +483,37 @@ class TestProximityCommand:
                         "--out", out]) == 0
         assert (out_a / "proximity.json").read_bytes() == \
                (out_b / "proximity.json").read_bytes()
+
+
+    def test_outputs_agree_across_blas_thread_counts(self, tmp_path):
+        # nothing fixed the sign of the top principal vector: the degree-10
+        # sweep witnesses flipped sign between one and two OpenBLAS threads
+        configs = [CONFIGS_DIR / f"s{k}.json" for k in (1, 2, 3)]
+        configs += [op["argv"][2] for op in bench_module("workloads").sweep_ops(tmp_path)
+                    if op["label"].endswith(":10")]
+        code = ("import sys; from invprox.cli import main; "
+                "sys.exit(max(main(['proximity', '--config', c, '--out', o]) "
+                "for c, o in zip(sys.argv[1::2], sys.argv[2::2])))")
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                                                os.environ.get("PYTHONPATH")))))
+            outs = [tmp_path / threads / str(i) for i in range(len(configs))]
+            args = [str(a) for pair in zip(configs, outs) for a in pair]
+            result = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                                    capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stderr[-2000:]
+            reports.append([json.loads((out / "proximity.json").read_text()) for out in outs])
+        for one, two in zip(*reports):
+            for key in ("dim_S", "dim_KS", "dim_W"):
+                assert one[key] == two[key]
+            assert one["diagnostics"]["warnings"] == two["diagnostics"]["warnings"]
+            value = one["invariance_proximity"]
+            assert abs(value - two["invariance_proximity"]) <= 1e-12 * value
+            witness = np.array(one["witness_coeffs"])
+            gap = np.max(np.abs(witness - two["witness_coeffs"]))
+            assert gap <= 1e-8 * np.max(np.abs(witness))
 
 
 class TestTable1Command:

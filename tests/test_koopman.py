@@ -1,5 +1,7 @@
 import itertools
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -364,30 +366,57 @@ def test_s3_refinement_stops_before_the_step_cap(quad, dynamics, dictionaries, m
     assert 0 < candidates[0] <= 40
 
 
+def test_s1_refinement_takes_at_most_one_candidate(quad, dynamics, dictionaries, monkeypatch):
+    # S1 is invariant: every error is rounding, about 5e-16, and a rule that
+    # kept any larger error took 4 candidates
+    analysis = InvarianceAnalysis(dictionaries["S1"], quad, dynamics)
+    candidates = []
+    refine = koopman._refine
+
+    def counting(errors_of, *args):
+        calls = []
+        result = refine(lambda rows: calls.append(1) or errors_of(rows), *args)
+        candidates.append(len(calls))
+        return result
+
+    monkeypatch.setattr(koopman, "_refine", counting)
+    result = proximity_oracle(analysis, n_samples=10000, seed=0)
+    assert candidates[0] <= 1
+    assert result.max_error <= analysis.proximity + 1e-8
+
+
+def test_reported_vectors_have_a_positive_largest_coefficient(quad, dynamics, dictionaries):
+    for atoms in dictionaries.values():
+        analysis = InvarianceAnalysis(atoms, quad, dynamics)
+        for coeffs in (analysis.report().witness_coeffs,
+                       proximity_oracle(analysis, n_samples=1000, seed=0).argmax_coeffs):
+            assert coeffs[np.argmax(np.abs(coeffs))] > 0
+
+
 _ORACLE_SPACE = QuadratureSpace(Domain(((-1.0, 1.0), (-1.0, 1.0))), 12)
 _ORACLE_DYNAMICS = DynamicsMap.from_strings(DYNAMICS_SOURCES, 2)
 _MONOMIALS = ("1", "x1", "x2", "x1^2", "x1*x2", "x2^2", "x1^3", "x1^2*x2", "x2^3")
 
 
+@pytest.mark.filterwarnings("ignore:quadrature order")
 @settings(max_examples=25, deadline=None, database=None)
 @given(subset=st.sets(st.sampled_from(_MONOMIALS), min_size=1),
        seed=st.integers(0, 2**32 - 1))
 def test_oracle_never_exceeds_closed_form(subset, seed):
     atoms = _atoms(*sorted(subset))
-    analysis = InvarianceAnalysis(atoms, _ORACLE_SPACE, _ORACLE_DYNAMICS,
-                                  check_quadrature=False)
+    analysis = InvarianceAnalysis(atoms, _ORACLE_SPACE, _ORACLE_DYNAMICS)
     result = proximity_oracle(analysis, n_samples=500, seed=seed)
     assert 0.0 <= result.max_error <= analysis.proximity + 1e-8
 
 
+@pytest.mark.filterwarnings("ignore:quadrature order")
 def test_oracle_reaches_the_closed_form_on_every_monomial_subset():
     # a finite-difference gradient ascent with an adaptive step fell more
     # than 1e-9 short on 189 of these 511 subsets (111 by more than 1%, at
     # most by 0.46); 266 used all of its 200 steps
     for size in range(1, len(_MONOMIALS) + 1):
         for subset in itertools.combinations(_MONOMIALS, size):
-            analysis = InvarianceAnalysis(_atoms(*sorted(subset)), _ORACLE_SPACE,
-                                          _ORACLE_DYNAMICS, check_quadrature=False)
+            analysis = InvarianceAnalysis(_atoms(*sorted(subset)), _ORACLE_SPACE, _ORACLE_DYNAMICS)
             found = proximity_oracle(analysis, n_samples=500, seed=0).max_error
             assert analysis.proximity - 1e-9 <= found <= analysis.proximity + 1e-8, subset
 
@@ -479,8 +508,7 @@ class TestInvariances:
         # image rank at degree 8 and 10 and moves the value by up to 7%
         space = QuadratureSpace(box, 40)
         for degree, dim in ((6, 28), (8, 45), (10, 66)):
-            results = [InvarianceAnalysis(_sweep_dictionary(basis, degree), space,
-                                          dynamics, check_quadrature=False)
+            results = [InvarianceAnalysis(_sweep_dictionary(basis, degree), space, dynamics)
                        for basis in ("monomial", "legendre")]
             for analysis in results:
                 assert (analysis.dim_s, analysis.dim_ks) == (dim, dim)
@@ -598,6 +626,49 @@ class TestQuadratureDiagnostics:
                 analysis = InvarianceAnalysis(dictionaries["S3"], space, dynamics)
             assert all(w.startswith(f"quadrature order {order} not converged")
                        for w in analysis.diagnostics()["warnings"])
+
+    def test_one_warning_names_the_drift_and_the_dimensions(self, box, dynamics, dictionaries):
+        with pytest.warns(UserWarning) as caught:
+            analysis = InvarianceAnalysis(dictionaries["S3"], QuadratureSpace(box, 5), dynamics)
+        assert [str(w.message) for w in caught] == analysis.diagnostics()["warnings"]
+        assert len(caught) == 1
+        assert re.fullmatch(r"quadrature order 5 not converged: proximity changes by "
+                            r"\d\.\d{3}e-0[1-3], dim S 5 -> 5, dim K\(S\) 5 -> 5 at order 3",
+                            str(caught[0].message))
+
+    @pytest.mark.parametrize("degree", [12, 14, 16])
+    def test_sweep_bases_get_the_same_verdict(self, box, dynamics, degree):
+        # the entrywise Gram-block drift warned on the Legendre basis at degree
+        # 16 (cross block 1.1e-8) and stayed silent on the monomials of the
+        # same span (4.7e-15); the spans' proximity moves by about 2e-13
+        verdicts, drifts = [], []
+        for basis in ("monomial", "legendre"):
+            atoms = sweep_atoms(basis, degree)
+            analysis = InvarianceAnalysis(atoms, QuadratureSpace(box, 40), dynamics)
+            verdicts.append(analysis.diagnostics()["warnings"])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # order 20 has its own check, at order 10
+                coarse = InvarianceAnalysis(atoms, QuadratureSpace(box, 20), dynamics)
+            assert (coarse.dim_s, coarse.dim_ks) == (analysis.dim_s, analysis.dim_ks)
+            drifts.append(abs(coarse.proximity - analysis.proximity))
+        assert verdicts == [[], []]
+        assert max(drifts) <= 10 * min(drifts)
+
+    @pytest.mark.filterwarnings("ignore:quadrature order")
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(case=st.sampled_from([("S2", 20), ("S3", 20), ("S3", 5), ("S3", 10)]),
+           log_cond=st.floats(0.0, 6.0), seed=st.integers(0, 2**32 - 1))
+    def test_recombined_basis_keeps_the_verdict(self, box, dynamics, dictionaries, case,
+                                                log_cond, seed):
+        name, order = case
+        atoms, space = dictionaries[name], QuadratureSpace(box, order)
+        rng = np.random.default_rng(seed)
+        left, right = (np.linalg.qr(rng.standard_normal((len(atoms),) * 2))[0] for _ in range(2))
+        recombination = left * np.logspace(0.0, -log_cond, len(atoms)) @ right.T
+        results = [InvarianceAnalysis(basis, space, dynamics) for basis in
+                   (atoms, tuple(FunctionVec(row, atoms) for row in recombination))]
+        assert len({bool(r.diagnostics()["warnings"]) for r in results}) == 1
+        assert abs(results[0].proximity - results[1].proximity) <= 1e-9
 
     def test_silent_at_default_order(self, quad, dynamics, dictionaries):
         analysis = InvarianceAnalysis(dictionaries["S3"], quad, dynamics)

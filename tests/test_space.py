@@ -179,6 +179,18 @@ class TestQuadrature:
         check = QuadratureSpace(box4, 20).refined(0.5)
         assert check.nodes.shape == (10**4, 4)
 
+    def test_node_budget(self):
+        # 4^13 = 2^26 nodes is the largest rule allowed; its nodes are built
+        # only on use
+        largest = QuadratureSpace(Domain(((-1.0, 1.0),) * 13), 4)
+        assert largest.n_nodes == space_module.MAX_QUAD_NODES
+        for dim, order, nodes, fit in ((13, 5, 5**13, 4), (8, 20, 20**8, 9), (4, 91, 91**4, 90),
+                                       (3, 1000, 10**9, 406)):
+            with pytest.raises(ValueError, match=f"{nodes} nodes, .* the largest order that fits "
+                                                 f"is {fit}$"):
+                QuadratureSpace(Domain(((-1.0, 1.0),) * dim), order)
+            assert fit ** dim <= space_module.MAX_QUAD_NODES < (fit + 1) ** dim
+
     def test_gauss_legendre_rule_is_computed_once_per_order(self, monkeypatch):
         leggauss = np.polynomial.legendre.leggauss
         calls = []
