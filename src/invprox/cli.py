@@ -365,10 +365,12 @@ def _read_weights(path):
 
 def build_space(config):
     backend = config["backend"]
-    try:  # an invalid interval, or a rule above the node budget
+    try:  # an invalid interval, or a rule or its check rule above the node budget
         domain = Domain(tuple(tuple(b) for b in config["domain"]))
         if backend["type"] == "quadrature":
-            return QuadratureSpace(domain, backend.get("order", DEFAULT_QUAD_ORDER))
+            space = QuadratureSpace(domain, backend.get("order", DEFAULT_QUAD_ORDER))
+            space.check_rule()
+            return space
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     try:

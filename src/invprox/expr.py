@@ -18,7 +18,11 @@ Grammar (also documented in the README):
 Variables are fixed names ``x1 ... xn`` where ``n`` is the declared state
 dimension. The exponent of ``^`` must be a constant subexpression with an
 integer value, which keeps every expression real-valued on domains that
-contain negative coordinates.
+contain negative coordinates. ``x^k`` with ``|k| >= 2`` is evaluated as
+products, ``x^k = x^ceil(k/2) * x^floor(k/2)`` and ``x^-k = 1 / x^k``: each
+product is correctly rounded, so the result is the same on every machine,
+with relative error at most ``|k| * 2^-53`` while the powers stay normal.
+Other exponents go through ``np.power``.
 """
 
 from __future__ import annotations
@@ -177,11 +181,36 @@ def _compile(roots):
     Step k is ``("c", value, sign)``, ``("x", column, None)`` or ``(ufunc,
     child step, child step or None)``. Child steps are numbered bottom-up, so
     each node is hashed once as a small tuple, not with all its descendants.
+    ``x^k`` with a constant integer ``|k| >= 2`` becomes its products (see
+    the module docstring), so every power is a subtree like any other.
     """
     program, steps = [], {}
 
+    def step_of(key):
+        step = steps.get(key)
+        if step is None:
+            step = steps[key] = len(program)
+            program.append(key)
+        return step
+
+    def power(base, k):
+        # the exponents that x^k needs, built in ascending order: no
+        # recursion on k, whose halvings can outnumber the recursion limit
+        needed, level = set(), {k}
+        while level:
+            needed |= level
+            level = {h for n in level for h in ((n + 1) // 2, n // 2) if h > 1}
+        powers = {1: base}
+        for n in sorted(needed):
+            powers[n] = step_of((_UFUNCS["*"], powers[(n + 1) // 2], powers[n // 2]))
+        return powers[k]
+
     def visit(node):
         if isinstance(node, BinOp):
+            k = _const_value(node.right) if node.op == "^" else None
+            if k is not None and float(k).is_integer() and abs(k) >= 2:
+                step = power(visit(node.left), int(abs(k)))
+                return step if k > 0 else step_of((_UFUNCS["/"], visit(Const(1.0)), step))
             key = (_UFUNCS[node.op], visit(node.left), visit(node.right))
         elif isinstance(node, Const):
             value = float(node.value)  # 0.0 == -0.0, yet 1/x tells them apart
@@ -192,11 +221,7 @@ def _compile(roots):
             key = (_UFUNCS["neg"], visit(node.operand), None)
         else:
             key = (_UFUNCS[node.name], visit(node.arg), None)
-        step = steps.get(key)
-        if step is None:
-            step = steps[key] = len(program)
-            program.append(key)
-        return step
+        return step_of(key)
 
     roots = [visit(root) for root in roots]
     del visit  # its closure refers to itself: a cycle only gc would free
@@ -252,9 +277,12 @@ def compile(exprs):
 
     Each distinct subtree is evaluated once per call, with the same ufunc on
     the same operands as a node-by-node evaluation, so the values are
-    identical. Constant subtrees stay scalars. Each value is released after
-    its last use, so a call holds the ``(n, d)`` points, the output and the
-    live subtree values: ``n * (d + live) * 8`` bytes besides the output.
+    identical. An integer power ``x^k``, ``|k| >= 2``, is its products (see
+    the module docstring), so ``x1*x1`` and ``x1^2`` are one subtree and
+    ``x^2 ... x^10`` cost one multiply each. Constant subtrees stay scalars.
+    Each value is released after its last use, so a call holds the ``(n,
+    d)`` points, the output and the live subtree values: ``n * (d + live) *
+    8`` bytes besides the output.
     """
     exprs = tuple(exprs)
     program, roots = _compile([e.root for e in exprs])

@@ -249,7 +249,7 @@ class InvarianceAnalysis:
         (order 1: at 2); warn if a dimension differs or the proximity moves by
         ``quad_tol`` or more. If the coarser rule agrees, the base rule has
         converged."""
-        check = self.space.refined(0.5 if self.space.order > 1 else 2)
+        check = self.space.check_rule()
         factor = check.koopman_factor(program, self.dynamics)
         (u, sigma, _), (u_image, sigma_image, _) = (
             np.linalg.svd(block, full_matrices=False) for block in np.hsplit(factor, 2))
@@ -317,16 +317,21 @@ class InvarianceAnalysis:
         principal vector on the image side; the minimum-norm least-squares
         solution fixes the non-uniqueness when the operator is not injective
         on S, and the sign makes its largest-magnitude coefficient positive.
-        The preimage always exists, so a residual beyond 1e-8 signals
-        numerical breakdown and raises :class:`InconsistentSystem`.
+        The preimage always exists, so a normwise backward error
+        ``|Ax - b| / (|A|_F |x| + |b|)`` beyond 1e-8 signals numerical
+        breakdown and raises :class:`InconsistentSystem`; the absolute
+        residual grows with ``|A| |x|`` even when the solve is stable.
         """
         if self._witness_coeffs is None:
             top = self.decomposition.v_vectors[:, -1]
             coeffs, _, _, _ = np.linalg.lstsq(self.image_map, top, rcond=None)
             solve_residual = float(np.linalg.norm(self.image_map @ coeffs - top))
-            if solve_residual > 1e-8:
+            backward_error = solve_residual / (
+                np.linalg.norm(self.image_map) * np.linalg.norm(coeffs) + np.linalg.norm(top))
+            if backward_error > 1e-8:
                 raise InconsistentSystem(
-                    f"witness solve residual {solve_residual:.3e} exceeds 1e-8"
+                    f"witness solve backward error {backward_error:.3e} exceeds 1e-8 "
+                    f"(residual {solve_residual:.3e})"
                 )
             error = self.relative_error(coeffs)
             self._witness_diag = {

@@ -346,6 +346,10 @@ class QuadratureSpace(_InnerProductBackend):
         """Same domain at ``factor`` times the order, rounded up."""
         return QuadratureSpace(self.domain, int(np.ceil(factor * self.order)))
 
+    def check_rule(self):
+        """The quadrature check's rule: order ceil(q/2), or 2 at order 1."""
+        return self.refined(0.5 if self.order > 1 else 2)
+
     def _blocks(self, rows, dynamics):
         if dynamics is None:
             raise ValueError("quadrature backend needs the dynamics map to form K Psi")

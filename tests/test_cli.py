@@ -363,13 +363,16 @@ class TestProximityCommand:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("case", ["config", "flag"])
+    @pytest.mark.parametrize("case", ["config", "flag", "check rule"])
     def test_node_budget_is_config_error(self, tmp_path, capsys, case):
-        # 20^8 = 2.56e10 nodes would be hours of evaluation
+        # 20^8 = 2.56e10 nodes would be hours of evaluation; order 1 in 27
+        # dimensions is one node, but its check rule, order 2, has 2^27
         config = base_config(["1", "x1"])
-        dim = 8 if case == "config" else 4
+        dim = {"config": 8, "flag": 4, "check rule": 27}[case]
         config.update(state_dim=dim, domain=[[-1.0, 1.0]] * dim, dynamics=["0.5*x1"] * dim)
         del config["backend"]["order"]  # the default, 20
+        if case == "check rule":
+            config["backend"]["order"] = 1
         args = ["proximity", "--config", write_config(tmp_path, config)]
         if case == "flag":
             args += ["--quad-order", 91]
@@ -377,7 +380,7 @@ class TestProximityCommand:
         start = time.perf_counter()
         assert run([*args, "--out", out]) == 2
         assert time.perf_counter() - start < 1.0
-        nodes, fit = (20**8, 9) if case == "config" else (91**4, 90)
+        nodes, fit = {"config": (20**8, 9), "flag": (91**4, 90), "check rule": (2**27, 1)}[case]
         err = capsys.readouterr().err
         assert f"{nodes} nodes" in err and f"the largest order that fits is {fit}" in err
         assert not out.exists()
@@ -483,6 +486,22 @@ class TestProximityCommand:
                         "--out", out]) == 0
         assert (out_a / "proximity.json").read_bytes() == \
                (out_b / "proximity.json").read_bytes()
+
+    @pytest.mark.parametrize("basis", ["monomial", "legendre"])
+    def test_degree_16_sweep_witness_solves(self, tmp_path, basis):
+        # absolute lstsq residuals of 1.3e-8 and 3.6e-8 once made these exit
+        # 3; they track eps |A| |x|, and the backward error stays near eps
+        workloads = bench_module("workloads")
+        config = {"state_dim": 2, "domain": workloads.UNIT_BOX,
+                  "backend": {"type": "quadrature", "order": 40},
+                  "dynamics": workloads.SEC7_DYNAMICS,
+                  "dictionary": workloads.sweep_dictionary(basis, 16)}
+        assert run(["proximity", "--config", write_config(tmp_path, config),
+                    "--out", tmp_path]) == 0
+        report = json.loads((tmp_path / "proximity.json").read_text())
+        diag = report["diagnostics"]
+        assert diag["warnings"] == []
+        assert abs(diag["witness_relative_error"] - report["invariance_proximity"]) <= 1e-8
 
 
     def test_outputs_agree_across_blas_thread_counts(self, tmp_path):

@@ -200,6 +200,18 @@ def test_batched_and_single_agree():
 
 # --- the program evaluator against the node-by-node one it replaced ----------
 
+def _reference_power(base, k):
+    """``base^k`` by the documented rule: for an integer ``|k| >= 2``,
+    ``x^k = x^ceil(k/2) * x^floor(k/2)`` and ``x^-k = 1 / x^k``; other
+    exponents through ``np.power`` (reference)."""
+    if not (float(k).is_integer() and abs(k) >= 2):
+        return np.power(base, k)
+    if k < 0:
+        return np.divide(1.0, _reference_power(base, -k))
+    halves = [base if h == 1 else _reference_power(base, h) for h in ((k + 1) // 2, k // 2)]
+    return np.multiply(*halves)
+
+
 def _reference_const(node):
     """Constant folding as the node-by-node evaluator did it (reference)."""
     if isinstance(node, Const):
@@ -227,7 +239,7 @@ def _reference_const(node):
             return a * b
         if node.op == "/":
             return float(np.divide(a, b))
-        return float(np.power(a, b))
+        return float(_reference_power(a, b))
 
 
 def _reference_eval(node, columns, n_points):
@@ -242,7 +254,7 @@ def _reference_eval(node, columns, n_points):
         return BUILTINS[node.name](_reference_eval(node.arg, columns, n_points))
     left = _reference_eval(node.left, columns, n_points)
     if node.op == "^":
-        return np.power(left, _reference_const(node.right))
+        return _reference_power(left, _reference_const(node.right))
     right = _reference_eval(node.right, columns, n_points)
     if node.op == "+":
         return left + right
@@ -345,3 +357,43 @@ def test_objects_hold_their_program(monkeypatch):
         e(points), e.eval(points[0]), dynamics(points), dynamics(points[0])
     assert compiles == [1, 2]
     assert np.array_equal(e(points), evaluate([e], points)[0])
+
+
+# --- integer powers as products ---------------------------------------------
+
+@pytest.mark.parametrize("k", [*range(2, 13), 31, 64, -2, -5])
+def test_integer_powers_are_products_within_the_error_bound(k):
+    # k - 1 correctly rounded products (and one division for k < 0): the
+    # relative error stays below |k| * 2^-53 wherever every power is normal
+    import mpmath
+
+    rng = np.random.default_rng(abs(k))
+    bases = rng.choice([-1.0, 1.0], 500) * 2.0 ** rng.uniform(-15, 15, 500)
+    got = evaluate([parse(f"x1^{k}", 1)], bases[:, None])[0]
+    with mpmath.workprec(256):
+        errors = [abs((mpmath.mpf(g) - mpmath.mpf(x) ** k) / mpmath.mpf(x) ** k)
+                  for g, x in zip(got, bases)]
+    assert max(errors) <= abs(k) * 2.0**-53
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    with np.errstate(divide="ignore"):
+        want = np.power(specials, float(k))
+    _assert_bitwise_equal(evaluate([parse(f"x1^{k}", 1)], specials[:, None])[0], want)
+
+
+def test_negative_power_of_an_overflowing_base_is_zero():
+    # the one intended difference from pow: 1e155^2 overflows, so 1/inf
+    # gives 0 where pow(1e155, -2) gives the subnormal 1e-310
+    assert parse("x1^-2", 1).eval((1e155,)) == 0.0
+    assert 0.0 < np.power(1e155, -2.0) < np.finfo(float).tiny
+
+
+def test_sweep_dictionaries_never_call_power(monkeypatch):
+    # x1*x1 and x1^2 are one step; the sweeps' powers are all products
+    assert len(expr.compile([parse("x1*x1", 1), parse("x1^2", 1)]).steps) == 2
+    points = QuadratureSpace(Domain(((-1.0, 1.0), (-1.0, 1.0))), 40).nodes
+    calls = []
+    monkeypatch.setitem(expr._UFUNCS, "^", lambda *args: calls.append(args))
+    monkeypatch.setattr(np, "power", lambda *args: calls.append(args))
+    for basis in ("monomial", "legendre"):
+        evaluate(sweep_atoms(basis, 10), points)
+    assert calls == []

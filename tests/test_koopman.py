@@ -13,6 +13,7 @@ from invprox import (
     DynamicsMap,
     EmpiricalSpace,
     FunctionVec,
+    InconsistentSystem,
     InvarianceAnalysis,
     NonFiniteValue,
     ZeroImage,
@@ -229,6 +230,13 @@ class TestWitness:
         diag = report.diagnostics
         assert diag["witness_solve_residual"] <= 1e-8
         assert abs(diag["witness_relative_error"] - report.proximity) <= 1e-8
+
+    def test_right_hand_side_outside_the_image_raises(self, quad, dynamics, dictionaries):
+        analysis = InvarianceAnalysis(dictionaries["S2"], quad, dynamics)
+        top = analysis.decomposition.v_vectors[:, -1]
+        analysis.image_map = analysis.image_map - np.outer(top, top @ analysis.image_map)
+        with pytest.raises(InconsistentSystem, match="backward error 1.000e[+]00 exceeds 1e-8"):
+            analysis.witness()
 
 
 class TestRelativeError:
