@@ -16,7 +16,9 @@ from SVDs of the two column blocks of R, so no Gram matrix is formed and the
 condition number is not squared. The worst-case relative projection error
 of the model over S equals the sine of the largest principal angle between
 those bases (Bjorck & Golub), and a maximizing witness function is any
-preimage of the top principal vector on the image side.
+preimage of the top principal vector on the image side. The principal
+vectors at zero angle span S ∩ K(S), so dim W = dim S + dim K(S) less the
+sines below ``quad_tol``: like the proximity, it depends on the spans alone.
 
 A quadrature analysis always checks its rule: it recomputes dim S, dim K(S)
 and the proximity from the factor of the coarser rule of order ceil(q/2),
@@ -183,10 +185,12 @@ class InvarianceAnalysis:
     evaluations into R (``space.koopman_factor``), take orthonormal bases of
     S and K(S) from SVDs of its two column blocks, ranks counting singular
     values above ``rank_tol`` times the largest, and compute the principal
-    decomposition. Everything else (witness, relative errors,
-    eigenpair residuals, restricted operator norm) is linear algebra on the
-    stored coordinate matrices. Instances are immutable in practice; methods
-    have no side effects beyond caching.
+    decomposition. dim W is dim S + dim K(S) less the angles whose sine is
+    below ``quad_tol``, the sine to which the run certifies the proximity.
+    The rest (witness, relative errors, eigenpair residuals, restricted
+    operator norm) is linear algebra on the stored coordinate matrices.
+    Instances are immutable in practice; methods have no side effects
+    beyond caching.
     """
 
     def __init__(
@@ -209,23 +213,22 @@ class InvarianceAnalysis:
         program = _AtomProgram(self.atoms)  # compiled once, for the check too
         factor = space.koopman_factor(program, dynamics)
         m = len(self.atoms)
-        self.dim_w = _rank(np.linalg.svd(factor, compute_uv=False), self.rank_tol)
 
         # coordinates of each raw atom, and of its operator image
         self.dict_coords = factor[:, :m]
         self.image_map = factor[:, m:]
-        q, self.dictionary_basis, self.dim_s = _span_basis(self.dict_coords, self.rank_tol)
-        q_image, _, self.dim_ks = _span_basis(self.image_map, self.rank_tol)
+        q, self.dictionary_basis = _span_basis(self.dict_coords, self.rank_tol)
+        q_image, _ = _span_basis(self.image_map, self.rank_tol)
+        self.dim_s, self.dim_ks = q.shape[1], q_image.shape[1]
+        if not (self.dim_s and self.dim_ks):
+            raise DegenerateSpace("no singular value above the rank tolerance")
         self.q_s = SubspaceBasis(q)
-        self.q_ks = SubspaceBasis(q_image)
 
         # coordinates of the operator image of each orthonormal basis function
         self.basis_image_map = self.image_map @ self.dictionary_basis
         self.k_approx = self.basis_image_map.T @ q
 
-        self.decomposition: PrincipalDecomposition = principal_angles(
-            self.q_s, self.q_ks
-        )
+        self.decomposition: PrincipalDecomposition = principal_angles(self.q_s, q_image)
         if self.decomposition.swapped:
             # dim K(S) <= dim S always holds exactly; a numerical rank
             # decision that says otherwise leaves the witness side ambiguous
@@ -235,6 +238,7 @@ class InvarianceAnalysis:
             )
         self.angles = self.decomposition.angles
         self.proximity = float(np.sin(self.angles[-1]))
+        self.dim_w = self.dim_s + self.dim_ks - int(np.sum(np.sin(self.angles) < self.quad_tol))
 
         if isinstance(space, QuadratureSpace):
             self._check_quadrature(program)
@@ -251,10 +255,9 @@ class InvarianceAnalysis:
         converged."""
         check = self.space.check_rule()
         factor = check.koopman_factor(program, self.dynamics)
-        (u, sigma, _), (u_image, sigma_image, _) = (
-            np.linalg.svd(block, full_matrices=False) for block in np.hsplit(factor, 2))
-        dim_s, dim_ks = _rank(sigma, self.rank_tol), _rank(sigma_image, self.rank_tol)
-        q, q_image = u[:, :dim_s], u_image[:, :dim_ks]
+        (q, _), (q_image, _) = (_span_basis(block, self.rank_tol)
+                                for block in np.hsplit(factor, 2))
+        dim_s, dim_ks = q.shape[1], q_image.shape[1]
         proximity = np.nan  # the top sine between the spans, if neither is empty
         if dim_s and dim_ks:
             proximity = np.linalg.norm(q_image - q @ (q.T @ q_image), 2)
@@ -396,29 +399,22 @@ class InvarianceAnalysis:
         )
 
 
-def _rank(sigma, rank_tol):
-    """Number of singular values (descending) above rank_tol times the largest."""
-    return int(np.count_nonzero(sigma > rank_tol * sigma[0]))
-
-
 def _signed(v):
     """``v`` times the sign that makes its largest-magnitude entry positive."""
     return v * _unit_factors(v[np.argmax(np.abs(v))])
 
 
 def _span_basis(coords, rank_tol):
-    """``(q, basis, rank)`` with ``q = coords @ basis`` orthonormal, spanning
-    the columns of ``coords``. Columns go by descending singular value, each
+    """``(q, basis)`` with ``q = coords @ basis`` orthonormal, spanning the
+    columns of ``coords``: one column per singular value above ``rank_tol``
+    times the largest (none may clear it), by descending singular value, each
     signed so that the largest-magnitude entry of its ``basis`` column is
-    positive (the ``geometry.orthonormalize`` convention). Raises
-    :class:`DegenerateSpace` if no column is above the rank tolerance."""
+    positive (the ``geometry.orthonormalize`` convention)."""
     u, sigma, vt = np.linalg.svd(coords, full_matrices=False)
-    rank = _rank(sigma, rank_tol)
-    if rank == 0:
-        raise DegenerateSpace("no singular value above the rank tolerance")
+    rank = int(np.count_nonzero(sigma > rank_tol * sigma[0]))
     v = vt[:rank].T
     signs = _unit_factors(v[np.argmax(np.abs(v), axis=0), np.arange(rank)])
-    return u[:, :rank] * signs, v * signs / sigma[:rank], rank
+    return u[:, :rank] * signs, v * signs / sigma[:rank]
 
 
 def build_model(atoms, space, dynamics=None, rank_tol=DEFAULT_RANK_TOL):
@@ -433,7 +429,9 @@ def build_model(atoms, space, dynamics=None, rank_tol=DEFAULT_RANK_TOL):
         raise ValueError("dictionary must be nonempty")
     factor = space.koopman_factor(atoms, dynamics)
     m = len(atoms)
-    q, basis, _ = _span_basis(factor[:, :m], rank_tol)
+    q, basis = _span_basis(factor[:, :m], rank_tol)
+    if not basis.shape[1]:
+        raise DegenerateSpace("no singular value above the rank tolerance")
     return KoopmanModel(atoms=atoms, k_approx=(factor[:, m:] @ basis).T @ q, basis=basis)
 
 
@@ -485,16 +483,16 @@ def proximity_oracle(analysis, n_samples=10000, seed=0):
     # one product gives each image and its residual off S: the residual map
     # is the image map less its projection onto S
     maps = np.vstack([a_k, a_k - q @ (q.T @ a_k)]).T
-    dim_w = a_k.shape[0]
+    n_coords = a_k.shape[0]  # rows of R: coordinates in W
     vanishing = 1e-7 * np.linalg.norm(a_k, 2)
 
     def errors_of(rows):
         """Relative errors of unit coefficient rows; -1 where the image vanishes."""
         squares = rows @ maps
         squares *= squares
-        norms = np.sqrt(squares[:, :dim_w].sum(axis=1))
+        norms = np.sqrt(squares[:, :n_coords].sum(axis=1))
         valid = norms > vanishing
-        residual = np.sqrt(squares[:, dim_w:].sum(axis=1))
+        residual = np.sqrt(squares[:, n_coords:].sum(axis=1))
         return np.where(valid, residual / np.where(valid, norms, 1.0), -1.0)
 
     rng = np.random.default_rng(seed)

@@ -514,12 +514,13 @@ class TestInvariances:
     def test_monomial_and_legendre_bases_agree(self, box, dynamics):
         # ill-conditioned monomial spans: a Gram-based rank decision loses
         # image rank at degree 8 and 10 and moves the value by up to 7%
+        # dim W counted on R's whole spectrum read 81 and 119 at degree 8 and 10
         space = QuadratureSpace(box, 40)
-        for degree, dim in ((6, 28), (8, 45), (10, 66)):
+        for degree, dim, dim_w in ((6, 28, 49), (8, 45, 79), (10, 66, 116)):
             results = [InvarianceAnalysis(_sweep_dictionary(basis, degree), space, dynamics)
                        for basis in ("monomial", "legendre")]
             for analysis in results:
-                assert (analysis.dim_s, analysis.dim_ks) == (dim, dim)
+                assert (analysis.dim_s, analysis.dim_ks, analysis.dim_w) == (dim, dim, dim_w)
             assert abs(results[0].proximity - results[1].proximity) <= 1e-10
 
     def test_node_snapshots_match_quadrature(self, quad, dynamics, dictionaries):
@@ -648,8 +649,9 @@ class TestQuadratureDiagnostics:
     def test_sweep_bases_get_the_same_verdict(self, box, dynamics, degree):
         # the entrywise Gram-block drift warned on the Legendre basis at degree
         # 16 (cross block 1.1e-8) and stayed silent on the monomials of the
-        # same span (4.7e-15); the spans' proximity moves by about 2e-13
-        verdicts, drifts = [], []
+        # same span (4.7e-15); the spans' proximity moves by about 2e-13. dim W
+        # counted on R's whole spectrum differed: 160/161, 204/208, 247/259
+        verdicts, drifts, dims_w = [], [], []
         for basis in ("monomial", "legendre"):
             atoms = sweep_atoms(basis, degree)
             analysis = InvarianceAnalysis(atoms, QuadratureSpace(box, 40), dynamics)
@@ -659,24 +661,34 @@ class TestQuadratureDiagnostics:
                 coarse = InvarianceAnalysis(atoms, QuadratureSpace(box, 20), dynamics)
             assert (coarse.dim_s, coarse.dim_ks) == (analysis.dim_s, analysis.dim_ks)
             drifts.append(abs(coarse.proximity - analysis.proximity))
+            dims_w.append(analysis.dim_w)
         assert verdicts == [[], []]
+        assert dims_w[0] == dims_w[1]
         assert max(drifts) <= 10 * min(drifts)
 
     @pytest.mark.filterwarnings("ignore:quadrature order")
     @settings(max_examples=20, deadline=None, database=None)
-    @given(case=st.sampled_from([("S2", 20), ("S3", 20), ("S3", 5), ("S3", 10)]),
+    @given(case=st.sampled_from([("S2", 20), ("S3", 20), ("S3", 5), ("S3", 10),
+                                 ("legendre", 40)]),
            log_cond=st.floats(0.0, 6.0), seed=st.integers(0, 2**32 - 1))
     def test_recombined_basis_keeps_the_verdict(self, box, dynamics, dictionaries, case,
                                                 log_cond, seed):
         name, order = case
-        atoms, space = dictionaries[name], QuadratureSpace(box, order)
+        atoms = dictionaries[name] if name in dictionaries else sweep_atoms(name, 8)
+        space = QuadratureSpace(box, order)
         rng = np.random.default_rng(seed)
         left, right = (np.linalg.qr(rng.standard_normal((len(atoms),) * 2))[0] for _ in range(2))
         recombination = left * np.logspace(0.0, -log_cond, len(atoms)) @ right.T
         results = [InvarianceAnalysis(basis, space, dynamics) for basis in
                    (atoms, tuple(FunctionVec(row, atoms) for row in recombination))]
-        assert len({bool(r.diagnostics()["warnings"]) for r in results}) == 1
-        assert abs(results[0].proximity - results[1].proximity) <= 1e-9
+        # dim W counted on R's whole spectrum flipped from 81 on the sweep
+        assert results[0].dim_w == results[1].dim_w
+        if name in dictionaries:
+            # rounding the 45 recombined sweep atoms moves their span: at
+            # cond(T) near 1e6 the proximity, and with it the check's drift,
+            # moves by up to 1.1e-9, which is quad_tol
+            assert len({bool(r.diagnostics()["warnings"]) for r in results}) == 1
+            assert abs(results[0].proximity - results[1].proximity) <= 1e-9
 
     def test_silent_at_default_order(self, quad, dynamics, dictionaries):
         analysis = InvarianceAnalysis(dictionaries["S3"], quad, dynamics)
