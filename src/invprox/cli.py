@@ -4,10 +4,10 @@ and result emission.
 Subcommands::
 
     invprox proximity  --config cfg.json [--out DIR] [--quad-order Q] [--rank-tol T]
-    invprox table1     [--out DIR]
-    invprox predict    --config cfg.json [--out DIR] [--seed S] ...
-    invprox oracle     --config cfg.json [--out DIR] [--seed S] ...
-    invprox residuals  --config cfg.json [--out DIR] ...
+    invprox table1     [--out DIR] [--quad-order Q] [--rank-tol T]
+    invprox predict    --config cfg.json [--out DIR] [--seed S] [--quad-order Q] [--rank-tol T]
+    invprox oracle     --config cfg.json [--out DIR] [--seed S] [--quad-order Q] [--rank-tol T]
+    invprox residuals  --config cfg.json [--out DIR] [--quad-order Q] [--rank-tol T]
 
 Exit codes: 0 ok; 2 configuration or parse error; 3 numerical failure;
 4 internal-consistency failure (the sampling oracle exceeded the closed
@@ -249,7 +249,6 @@ def load_config(path):
         merged = dict(defaults)
         merged.update(config.get(section, {}))
         config[section] = merged
-    config.setdefault("field", "real")
     if len(config["domain"]) != config["state_dim"]:
         raise ConfigError("domain must list one interval per state dimension")
     return config
@@ -547,19 +546,20 @@ def _build_parser():
                     "composition operator of a discrete-time system.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in [
-        ("proximity", True),
-        ("table1", False),
-        ("predict", True),
-        ("oracle", True),
-        ("residuals", True),
+    for name, needs_config, seeded in [
+        ("proximity", True, False),
+        ("table1", False, False),
+        ("predict", True, True),
+        ("oracle", True, True),
+        ("residuals", True, False),
     ]:
         p = sub.add_parser(name)
         if needs_config:
             p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override oracle and experiment seeds")
+        if seeded:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override oracle and experiment seeds")
         p.add_argument("--quad-order", type=int, default=None,
                        help="override the quadrature order")
         p.add_argument("--rank-tol", type=float, default=None,
@@ -568,7 +568,7 @@ def _build_parser():
 
 
 def _apply_overrides(config, args):
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:  # oracle and predict only
         if args.seed < 0:
             raise ConfigError("--seed must be nonnegative")
         config["oracle"]["seed"] = args.seed

@@ -18,11 +18,11 @@ Grammar (also documented in the README):
 Variables are fixed names ``x1 ... xn`` where ``n`` is the declared state
 dimension. The exponent of ``^`` must be a constant subexpression with an
 integer value, which keeps every expression real-valued on domains that
-contain negative coordinates. ``x^k`` with ``|k| >= 2`` is evaluated as
-products, ``x^k = x^ceil(k/2) * x^floor(k/2)`` and ``x^-k = 1 / x^k``: each
-product is correctly rounded, so the result is the same on every machine,
+contain negative coordinates. ``x^k`` is evaluated without ``np.power``:
+``x^0`` is the constant 1, ``x^1`` is ``x``, ``x^k = x^ceil(k/2) *
+x^floor(k/2)`` for ``k >= 2`` and ``x^-k = 1 / x^k``. Each product and
+division is correctly rounded, so the result is the same on every machine,
 with relative error at most ``|k| * 2^-53`` while the powers stay normal.
-Other exponents go through ``np.power``.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def _const_value(node):
 
 
 _UFUNCS = {"neg": np.negative, **BUILTINS, "+": np.add, "-": np.subtract,
-           "*": np.multiply, "/": np.divide, "^": np.power}
+           "*": np.multiply, "/": np.divide}
 
 
 def _compile(roots):
@@ -181,8 +181,8 @@ def _compile(roots):
     Step k is ``("c", value, sign)``, ``("x", column, None)`` or ``(ufunc,
     child step, child step or None)``. Child steps are numbered bottom-up, so
     each node is hashed once as a small tuple, not with all its descendants.
-    ``x^k`` with a constant integer ``|k| >= 2`` becomes its products (see
-    the module docstring), so every power is a subtree like any other.
+    ``x^k`` becomes the constant 1, ``x`` or its products (see the module
+    docstring), so every power is a subtree like any other.
     """
     program, steps = [], {}
 
@@ -196,7 +196,7 @@ def _compile(roots):
     def power(base, k):
         # the exponents that x^k needs, built in ascending order: no
         # recursion on k, whose halvings can outnumber the recursion limit
-        needed, level = set(), {k}
+        needed, level = set(), {k} - {1}  # x^1 is the base itself
         while level:
             needed |= level
             level = {h for n in level for h in ((n + 1) // 2, n // 2) if h > 1}
@@ -206,11 +206,13 @@ def _compile(roots):
         return powers[k]
 
     def visit(node):
+        if isinstance(node, BinOp) and node.op == "^":
+            k = _const_value(node.right)
+            if k is None or not float(k).is_integer():
+                raise ValueError(f"exponent of {_to_source(node)} is not a constant integer")
+            step = power(visit(node.left), int(abs(k))) if k else visit(Const(1.0))
+            return step if k >= 0 else step_of((_UFUNCS["/"], visit(Const(1.0)), step))
         if isinstance(node, BinOp):
-            k = _const_value(node.right) if node.op == "^" else None
-            if k is not None and float(k).is_integer() and abs(k) >= 2:
-                step = power(visit(node.left), int(abs(k)))
-                return step if k > 0 else step_of((_UFUNCS["/"], visit(Const(1.0)), step))
             key = (_UFUNCS[node.op], visit(node.left), visit(node.right))
         elif isinstance(node, Const):
             value = float(node.value)  # 0.0 == -0.0, yet 1/x tells them apart

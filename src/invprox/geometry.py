@@ -82,7 +82,7 @@ def _psd_eigh(G, rank_tol):
         raise DegenerateSpace("all generators are numerically zero")
     order = np.argsort(-eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
-    vectors = _canonical_columns(vectors[:, order])
+    vectors = (vectors * _lead_factors(vectors))[:, order]
     rank = int(np.count_nonzero(eigenvalues > rank_tol * largest))
     if rank == 0:
         raise DegenerateSpace("no eigenvalue above the rank tolerance")
@@ -97,10 +97,11 @@ def _unit_factors(values):
     return np.where(values < 0, -1.0, 1.0)
 
 
-def _canonical_columns(vectors):
-    """Fix the sign/phase ambiguity: largest-magnitude entry made real positive."""
-    leads = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
-    return vectors * _unit_factors(leads)
+def _lead_factors(vectors):
+    """Unit factor per column (or of a 1-d vector) that makes its largest-magnitude
+    entry real and positive: the sign rule of every basis and reported vector."""
+    leads = np.take_along_axis(vectors, np.argmax(np.abs(vectors), axis=0)[None], axis=0)
+    return _unit_factors(leads[0])
 
 
 def orthonormalize(gram, rank_tol=DEFAULT_RANK_TOL):

@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import (DegenerateSpace, PrincipalDecomposition, SubspaceBasis, _unit_factors,
+from .geometry import (DegenerateSpace, PrincipalDecomposition, SubspaceBasis, _lead_factors,
                        principal_angles)
 from .space import QuadratureSpace, _AtomProgram
 
@@ -63,7 +63,7 @@ _ORACLE_BLOCK_ROWS = 4096
 
 
 class InconsistentSystem(ArithmeticError):
-    """The witness solve left a residual; signals numerical breakdown."""
+    """The witness does not map onto its target; signals numerical breakdown."""
 
 
 class ZeroImage(ValueError):
@@ -218,8 +218,8 @@ class InvarianceAnalysis:
         self.dict_coords = factor[:, :m]
         self.image_map = factor[:, m:]
         q, self.dictionary_basis = _span_basis(self.dict_coords, self.rank_tol)
-        q_image, _ = _span_basis(self.image_map, self.rank_tol)
-        self.dim_s, self.dim_ks = q.shape[1], q_image.shape[1]
+        self.q_image, self.image_basis = _span_basis(self.image_map, self.rank_tol)
+        self.dim_s, self.dim_ks = q.shape[1], self.q_image.shape[1]
         if not (self.dim_s and self.dim_ks):
             raise DegenerateSpace("no singular value above the rank tolerance")
         self.q_s = SubspaceBasis(q)
@@ -228,7 +228,7 @@ class InvarianceAnalysis:
         self.basis_image_map = self.image_map @ self.dictionary_basis
         self.k_approx = self.basis_image_map.T @ q
 
-        self.decomposition: PrincipalDecomposition = principal_angles(self.q_s, q_image)
+        self.decomposition: PrincipalDecomposition = principal_angles(self.q_s, self.q_image)
         if self.decomposition.swapped:
             # dim K(S) <= dim S always holds exactly; a numerical rank
             # decision that says otherwise leaves the witness side ambiguous
@@ -242,9 +242,6 @@ class InvarianceAnalysis:
 
         if isinstance(space, QuadratureSpace):
             self._check_quadrature(program)
-
-        self._witness_coeffs = None
-        self._witness_diag = {}
 
     # -- diagnostics ----------------------------------------------------------
 
@@ -272,6 +269,7 @@ class InvarianceAnalysis:
             self._warnings.append(message)
 
     def diagnostics(self):
+        _, witness = self._witness  # first: its check may add a warning
         diag = {
             "rank_tol": self.rank_tol,
             "quad_tol": self.quad_tol,
@@ -283,7 +281,7 @@ class InvarianceAnalysis:
         else:
             diag["backend"] = "empirical"
             diag["n_snapshots"] = int(self.space.n_snapshots)
-        diag.update(self._witness_diag)
+        diag.update(witness)
         return diag
 
     # -- derived quantities -----------------------------------------------------
@@ -313,43 +311,45 @@ class InvarianceAnalysis:
         projection = q @ (q.T @ image)
         return float(np.linalg.norm(image - projection) / image_norm)
 
+    @cached_property
+    def _witness(self):
+        """``(coeffs, diagnostics)`` of the witness, computed on first use by
+        :meth:`witness` or :meth:`diagnostics`."""
+        top = self.decomposition.v_vectors[:, -1]
+        coeffs = self.image_basis @ (self.q_image.T @ top)
+        solve_residual = float(np.linalg.norm(self.image_map @ coeffs - top))
+        backward_error = solve_residual / (
+            np.linalg.norm(self.image_map) * np.linalg.norm(coeffs) + np.linalg.norm(top))
+        if backward_error > 1e-8:
+            raise InconsistentSystem(
+                f"witness solve backward error {backward_error:.3e} exceeds 1e-8 "
+                f"(residual {solve_residual:.3e})"
+            )
+        error = self.relative_error(coeffs)
+        if abs(error - self.proximity) > 1e-8:
+            message = (
+                f"witness relative error {error:.12e} deviates from the "
+                f"closed form {self.proximity:.12e}"
+            )
+            warnings.warn(message, stacklevel=4)  # the caller of witness() or diagnostics()
+            self._warnings.append(message)
+        diag = {"witness_solve_residual": solve_residual, "witness_relative_error": error}
+        return coeffs * _lead_factors(coeffs), diag
+
     def witness(self):
         """A function in S attaining the worst-case relative error.
 
-        Solves for dictionary coefficients whose operator image is the top
-        principal vector on the image side; the minimum-norm least-squares
-        solution fixes the non-uniqueness when the operator is not injective
-        on S, and the sign makes its largest-magnitude coefficient positive.
-        The preimage always exists, so a normwise backward error
+        Its coefficients map onto the top principal vector on the image side:
+        with ``q_image = image_map @ image_basis`` the orthonormal basis of
+        K(S), they are ``image_basis @ (q_image.T @ top)``, the minimum-norm
+        preimage, because the columns of ``image_basis`` lie in the row space
+        of the image map; that fixes the non-uniqueness when the operator is
+        not injective on S. The sign makes the largest-magnitude coefficient
+        positive. The preimage always exists, so a normwise backward error
         ``|Ax - b| / (|A|_F |x| + |b|)`` beyond 1e-8 signals numerical
-        breakdown and raises :class:`InconsistentSystem`; the absolute
-        residual grows with ``|A| |x|`` even when the solve is stable.
+        breakdown and raises :class:`InconsistentSystem`.
         """
-        if self._witness_coeffs is None:
-            top = self.decomposition.v_vectors[:, -1]
-            coeffs, _, _, _ = np.linalg.lstsq(self.image_map, top, rcond=None)
-            solve_residual = float(np.linalg.norm(self.image_map @ coeffs - top))
-            backward_error = solve_residual / (
-                np.linalg.norm(self.image_map) * np.linalg.norm(coeffs) + np.linalg.norm(top))
-            if backward_error > 1e-8:
-                raise InconsistentSystem(
-                    f"witness solve backward error {backward_error:.3e} exceeds 1e-8 "
-                    f"(residual {solve_residual:.3e})"
-                )
-            error = self.relative_error(coeffs)
-            self._witness_diag = {
-                "witness_solve_residual": solve_residual,
-                "witness_relative_error": error,
-            }
-            if abs(error - self.proximity) > 1e-8:
-                message = (
-                    f"witness relative error {error:.12e} deviates from the "
-                    f"closed form {self.proximity:.12e}"
-                )
-                warnings.warn(message, stacklevel=2)
-                self._warnings.append(message)
-            self._witness_coeffs = _signed(coeffs)
-        return FunctionVec(self._witness_coeffs, self.atoms)
+        return FunctionVec(self._witness[0].copy(), self.atoms)
 
     def restricted_norm(self):
         """Largest amplification of the operator over the subspace S.
@@ -387,21 +387,15 @@ class InvarianceAnalysis:
         return out
 
     def report(self):
-        wit = self.witness()
         return ProximityReport(
             proximity=self.proximity,
             angles=self.angles.copy(),
             dim_s=self.dim_s,
             dim_ks=self.dim_ks,
             dim_w=self.dim_w,
-            witness_coeffs=wit.coeffs.copy(),
+            witness_coeffs=self.witness().coeffs,
             diagnostics=self.diagnostics(),
         )
-
-
-def _signed(v):
-    """``v`` times the sign that makes its largest-magnitude entry positive."""
-    return v * _unit_factors(v[np.argmax(np.abs(v))])
 
 
 def _span_basis(coords, rank_tol):
@@ -409,11 +403,11 @@ def _span_basis(coords, rank_tol):
     columns of ``coords``: one column per singular value above ``rank_tol``
     times the largest (none may clear it), by descending singular value, each
     signed so that the largest-magnitude entry of its ``basis`` column is
-    positive (the ``geometry.orthonormalize`` convention)."""
+    positive (``geometry._lead_factors``)."""
     u, sigma, vt = np.linalg.svd(coords, full_matrices=False)
     rank = int(np.count_nonzero(sigma > rank_tol * sigma[0]))
     v = vt[:rank].T
-    signs = _unit_factors(v[np.argmax(np.abs(v), axis=0), np.arange(rank)])
+    signs = _lead_factors(v)
     return u[:, :rank] * signs, v * signs / sigma[:rank]
 
 
@@ -506,9 +500,10 @@ def proximity_oracle(analysis, n_samples=10000, seed=0):
         if errors[index] > best_error:
             best, best_error = samples[index].copy(), errors[index]
     best, best_error = _refine(errors_of, best, max(best_error, 0.0), _ORACLE_REFINE_STEPS, maps)
+    argmax_coeffs = analysis.dictionary_basis @ best
     return OracleResult(
         max_error=float(best_error),
-        argmax_coeffs=_signed(analysis.dictionary_basis @ best),
+        argmax_coeffs=argmax_coeffs * _lead_factors(argmax_coeffs),
         n_samples=n_samples,
         n_excluded=n_excluded,
     )

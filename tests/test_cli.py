@@ -318,6 +318,16 @@ class TestProximityCommand:
         assert run([command, *config, "--out", tmp_path, "--rank-tol", value]) == 2
         assert "--rank-tol must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["proximity", "residuals", "table1"])
+    def test_seed_is_refused_where_no_seed_is_read(self, tmp_path, capsys, command):
+        # only oracle and predict draw random numbers
+        config = ["--config", CONFIGS_DIR / "s2.json"] if command != "table1" else []
+        with pytest.raises(SystemExit) as info:
+            run([command, *config, "--out", tmp_path, "--seed", 1])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("case", ["config", "proximity", "table1"])
     def test_quad_order_above_the_maximum_is_config_error(self, tmp_path, capsys,
                                                           monkeypatch, case):

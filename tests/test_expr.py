@@ -70,6 +70,10 @@ def test_integer_exponent_guard():
     # negative and computed integer exponents are allowed
     assert parse("2^-2", 1).eval((0.0,)) == 0.25
     assert parse("x1^(2*3)", 1).eval((2.0,)) == 64.0
+    # a hand-built power the parser would refuse fails at compile
+    for exponent in (Const(0.5), Var(1)):
+        with pytest.raises(ValueError, match="not a constant integer"):
+            expr.compile([Expr(BinOp("^", Var(1), exponent), 1)])
 
 
 def test_negative_base_integer_power_is_real():
@@ -361,10 +365,11 @@ def test_objects_hold_their_program(monkeypatch):
 
 # --- integer powers as products ---------------------------------------------
 
-@pytest.mark.parametrize("k", [*range(2, 13), 31, 64, -2, -5])
+@pytest.mark.parametrize("k", [*range(2, 13), 31, 64, -2, -5, -1, 0, 1])
 def test_integer_powers_are_products_within_the_error_bound(k):
-    # k - 1 correctly rounded products (and one division for k < 0): the
-    # relative error stays below |k| * 2^-53 wherever every power is normal
+    # |k| - 1 correctly rounded products (and one division for k < 0; x^0
+    # is the constant 1): the relative error stays below |k| * 2^-53
+    # wherever every power is normal
     import mpmath
 
     rng = np.random.default_rng(abs(k))
@@ -396,4 +401,5 @@ def test_sweep_dictionaries_never_call_power(monkeypatch):
     monkeypatch.setattr(np, "power", lambda *args: calls.append(args))
     for basis in ("monomial", "legendre"):
         evaluate(sweep_atoms(basis, 10), points)
+    evaluate([parse(s, 2) for s in ("x1^-1", "x1^0", "x1^1")], points)
     assert calls == []

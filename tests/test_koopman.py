@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 import tracemalloc
@@ -24,6 +25,7 @@ from invprox import (
     invariance_proximity,
     orthonormalize,
     parse,
+    principal_angles,
     proximity_oracle,
     trajectory_error,
     trajectory_errors,
@@ -211,11 +213,16 @@ class TestWitness:
         assert analysis.relative_error(wit) <= 1e-8
 
     def test_attains_the_maximum(self, quad, dynamics, dictionaries):
-        analysis = InvarianceAnalysis(dictionaries["S3"], quad, dynamics)
-        wit = analysis.witness()
-        error = analysis.relative_error(wit)
-        assert error == pytest.approx(0.823, abs=0.005)
-        assert abs(error - analysis.proximity) <= 1e-8
+        # with x2^2 listed twice the operator is not injective on the
+        # coefficients: the minimum-norm witness splits that coefficient equally
+        for extra in ((), _atoms("x2^2")):
+            analysis = InvarianceAnalysis(dictionaries["S3"] + extra, quad, dynamics)
+            wit = analysis.witness()
+            error = analysis.relative_error(wit)
+            assert error == pytest.approx(0.823, abs=0.005)
+            assert abs(error - analysis.proximity) <= 1e-8
+        assert wit.coeffs[-1] == pytest.approx(wit.coeffs[-2], rel=1e-12)
+        assert wit.coeffs[-1] == pytest.approx(4.001658657147869, rel=1e-9)
 
     def test_one_dimensional_subspace(self, quad, dynamics):
         analysis = InvarianceAnalysis(_atoms("x2"), quad, dynamics)
@@ -230,13 +237,32 @@ class TestWitness:
         diag = report.diagnostics
         assert diag["witness_solve_residual"] <= 1e-8
         assert abs(diag["witness_relative_error"] - report.proximity) <= 1e-8
-
-    def test_right_hand_side_outside_the_image_raises(self, quad, dynamics, dictionaries):
+        # each witness is a copy: changing one leaves the analysis as it was
         analysis = InvarianceAnalysis(dictionaries["S2"], quad, dynamics)
-        top = analysis.decomposition.v_vectors[:, -1]
-        analysis.image_map = analysis.image_map - np.outer(top, top @ analysis.image_map)
+        analysis.witness().coeffs[:] = 0.0
+        assert np.array_equal(analysis.report().witness_coeffs, report.witness_coeffs)
+
+    def test_right_hand_side_outside_the_image_raises(self, quad, dynamics, dictionaries,
+                                                      monkeypatch):
+        # make the top image-side vector a unit vector orthogonal to K(S): its
+        # minimum-norm preimage is 0, so the backward error is |top| / |top| = 1
+        def off_the_image(qu, qv):
+            decomposition = principal_angles(qu, qv)
+            v_vectors = decomposition.v_vectors.copy()
+            v_vectors[:, -1] = np.linalg.qr(qv, mode="complete")[0][:, -1]
+            return dataclasses.replace(decomposition, v_vectors=v_vectors)
+
+        monkeypatch.setattr(koopman, "principal_angles", off_the_image)
+        analysis = InvarianceAnalysis(dictionaries["S2"], quad, dynamics)
         with pytest.raises(InconsistentSystem, match="backward error 1.000e[+]00 exceeds 1e-8"):
             analysis.witness()
+
+    def test_diagnostics_do_not_depend_on_call_order(self, quad, dynamics, dictionaries):
+        fresh = InvarianceAnalysis(dictionaries["S3"], quad, dynamics).diagnostics()
+        analysis = InvarianceAnalysis(dictionaries["S3"], quad, dynamics)
+        analysis.witness()
+        assert {"witness_solve_residual", "witness_relative_error"} <= fresh.keys()
+        assert fresh == analysis.diagnostics()
 
 
 class TestRelativeError:
