@@ -15,11 +15,15 @@ form, which indicates a bug rather than a user error).
 
 Output numbers are IEEE doubles printed with 17 significant digits, so
 identical configurations and seeds produce byte-identical files.
+
+Each command runs OpenBLAS on one thread, process-wide, and restores the
+caller's thread count when it returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import sys
@@ -582,8 +586,27 @@ def _apply_overrides(config, args):
     return config
 
 
+@functools.cache
+def _blas_thread_setter():
+    """OpenBLAS's ``openblas_set_num_threads_local(n)``, which sets the thread
+    count of the whole process and returns the previous one, or None when
+    numpy's BLAS is not OpenBLAS 0.3.27 or later. Found through numpy's LAPACK
+    module, whose handle also searches the OpenBLAS it links."""
+    try:
+        setter = ctypes.CDLL(np.linalg._umath_linalg.__file__).openblas_set_num_threads_local
+    except (AttributeError, OSError):
+        return None
+    setter.argtypes, setter.restype = (ctypes.c_int,), ctypes.c_int
+    return setter
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    # The folds are at most 2m columns wide, so LAPACK does mostly BLAS-2
+    # work, where a second thread costs more than it saves; one thread also
+    # makes the output independent of OPENBLAS_NUM_THREADS.
+    setter = _blas_thread_setter()
+    previous = setter(1) if setter else None
     try:
         out_dir = Path(args.out)
         if args.quad_order is not None and args.quad_order < 1:
@@ -610,6 +633,9 @@ def main(argv=None):
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    finally:
+        if setter:
+            setter(previous)
 
 
 if __name__ == "__main__":

@@ -53,15 +53,16 @@ MAX_QUAD_ORDER = 1000
 # block holds rows = max(2m, _QR_BLOCK_VALUES // 2m) nodes. The fold needs
 # about (2m + rows) * 2m * 8 bytes for its buffer, the same again for
 # LAPACK's copy of it, and rows * (d + live subtrees) * 8 bytes to evaluate
-# a block; none of it grows with the node count. On 2 vCPUs, one analysis
-# of each of the six order-40 sweep dictionaries (m = 28..66, 1600 nodes)
-# takes 211 ms at 2**14 values (a program run and a QR per 124 nodes),
-# 151 ms at 2**16 and 144 ms at 2**18; but 2**18 holds the 1600 nodes in one
-# block, which raises the dict-sweep benchmark's peak RSS from 40.6 MiB to
-# 43.3-43.6 MiB.
+# a block; none of it grows with the node count. On 2 vCPUs with OpenBLAS
+# on one thread, as the CLI runs it, one analysis of each of the six
+# order-40 sweep dictionaries (m = 28..66, 1600 nodes) takes 91 ms at 2**14
+# values (a program run and a QR per 124 nodes), 68 ms at 2**16 and 68 ms at
+# 2**18; and 2**18 holds the 1600 nodes in one block, which raises the
+# dict-sweep benchmark's peak RSS from 36.2 MiB to 39.2 MiB.
 _QR_BLOCK_VALUES = 2**16
 # A tensor rule of more nodes is refused: evaluating and folding them takes
-# about 0.45 us per node on 2 vCPUs, so 2**26 nodes take about 30 s.
+# 0.14 us per node for S3 in 2-d and 0.55 us for 15 quadratic atoms in 4-d,
+# on 2 vCPUs with OpenBLAS on one thread, so 2**26 nodes take 10 to 40 s.
 MAX_QUAD_NODES = 2**26
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invprox import DynamicsMap, Expr, QuadratureSpace, Domain, write_snapshots
+from invprox import cli
 from invprox.cli import CONFIG_SCHEMA, ConfigError, load_config, main
 from invprox.space import MAX_QUAD_ORDER
 
@@ -516,7 +517,8 @@ class TestProximityCommand:
 
     def test_outputs_agree_across_blas_thread_counts(self, tmp_path):
         # nothing fixed the sign of the top principal vector: the degree-10
-        # sweep witnesses flipped sign between one and two OpenBLAS threads
+        # sweep witnesses flipped sign between one and two OpenBLAS threads;
+        # main runs OpenBLAS on one thread, so where it can the bytes agree
         configs = [CONFIGS_DIR / f"s{k}.json" for k in (1, 2, 3)]
         configs += [op["argv"][2] for op in bench_module("workloads").sweep_ops(tmp_path)
                     if op["label"].endswith(":10")]
@@ -533,8 +535,11 @@ class TestProximityCommand:
             result = subprocess.run([sys.executable, "-c", code, *args], env=env,
                                     capture_output=True, text=True, timeout=120)
             assert result.returncode == 0, result.stderr[-2000:]
-            reports.append([json.loads((out / "proximity.json").read_text()) for out in outs])
+            reports.append([(out / "proximity.json").read_bytes() for out in outs])
         for one, two in zip(*reports):
+            if cli._blas_thread_setter():
+                assert one == two
+            one, two = json.loads(one), json.loads(two)
             for key in ("dim_S", "dim_KS", "dim_W"):
                 assert one[key] == two[key]
             assert one["diagnostics"]["warnings"] == two["diagnostics"]["warnings"]
@@ -728,3 +733,71 @@ class TestResidualsCommand:
             _, _, residual, bound = map(float, row.split(","))
             assert np.isfinite(residual)
             assert residual <= bound + 1e-8
+
+
+needs_blas_pin = pytest.mark.skipif(cli._blas_thread_setter() is None,
+                                    reason="numpy's BLAS is not OpenBLAS 0.3.27 or later")
+
+
+class TestBlasThreadPin:
+    def test_openblas_setter_resolves(self):
+        # a numpy whose OpenBLAS renamed the symbol would quietly run every
+        # command on the caller's thread count again
+        if "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        setter = cli._blas_thread_setter()
+        assert setter is not None
+        previous = setter(2)
+        try:
+            assert setter(1) == 2
+            assert setter(2) == 1
+        finally:
+            setter(previous)
+
+    @needs_blas_pin
+    def test_command_runs_on_one_thread(self, tmp_path, monkeypatch):
+        setter, original, counts = cli._blas_thread_setter(), cli.cmd_proximity, []
+
+        def recording(config, out_dir):
+            counts.append(setter(1))  # the setter returns the count it replaces
+            return original(config, out_dir)
+
+        monkeypatch.setattr(cli, "cmd_proximity", recording)
+        previous = setter(2)
+        try:
+            assert run(["proximity", "--config", CONFIGS_DIR / "s2.json",
+                        "--out", tmp_path]) == 0
+        finally:
+            setter(previous)
+        assert counts == [1]
+
+    @needs_blas_pin
+    @pytest.mark.parametrize("case", ["ok", "bad config", "degenerate", "usage", "raises"])
+    def test_main_restores_the_callers_thread_count(self, tmp_path, monkeypatch, case):
+        def broken(config, out_dir):
+            raise RuntimeError("handler failed")
+
+        config = CONFIGS_DIR / "s2.json"
+        if case == "bad config":
+            config = tmp_path / "missing.json"
+        elif case == "degenerate":
+            config = write_config(tmp_path, base_config(["0*x1"]))
+        elif case == "raises":
+            monkeypatch.setattr(cli, "cmd_proximity", broken)
+        argv = ["proximity", "--out", tmp_path]
+        if case != "usage":  # argparse exits on the missing --config
+            argv += ["--config", config]
+        outcome = {"ok": 0, "bad config": 2, "degenerate": 3,
+                   "usage": SystemExit, "raises": RuntimeError}[case]
+        setter = cli._blas_thread_setter()
+        previous = setter(2)
+        try:
+            if isinstance(outcome, int):
+                assert run(argv) == outcome
+            else:
+                with pytest.raises(outcome):
+                    run(argv)
+            restored = setter(previous)
+        finally:
+            setter(previous)
+        assert restored == 2
