@@ -52,6 +52,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_INTERNAL = 4
+MAX_PREDICT_VALUES = 2**26  # n_trajectories * (horizon + 1): 512 MiB of percent errors
 
 
 class ConfigError(ValueError):
@@ -452,10 +453,14 @@ def cmd_table1(out_dir, quad_order, rank_tol):
 
 
 def cmd_predict(config, out_dir):
-    space, atoms, dynamics = _prepare(config, need_dynamics=True)
     experiment = config["experiment"]
     seed = experiment["sampling_seed"]
     horizon = experiment["horizon"]
+    values = experiment["n_trajectories"] * (horizon + 1)
+    if values > MAX_PREDICT_VALUES:
+        raise ConfigError(f"n_trajectories * (horizon + 1) is {values}, more than the "
+                          f"{MAX_PREDICT_VALUES} allowed")
+    space, atoms, dynamics = _prepare(config, need_dynamics=True)
     model_dynamics = None if isinstance(space, EmpiricalSpace) else dynamics
     model = build_model(atoms, space, model_dynamics, rank_tol=config["tolerances"]["rank_tol"])
     domain = Domain(tuple(tuple(b) for b in config["domain"]))

@@ -11,20 +11,21 @@ eigenvectors of K.
 
 All geometric quantities live in coordinates on W = S + K(S): column j of
 the QR factor R of the weighted evaluations sqrt(w) * [Psi, K Psi] holds
-isometric coordinates of generator j. Orthonormal bases of S and K(S) come
-from SVDs of the two column blocks of R, so no Gram matrix is formed and the
-condition number is not squared. The worst-case relative projection error
-of the model over S equals the sine of the largest principal angle between
-those bases (Bjorck & Golub), and a maximizing witness function is any
-preimage of the top principal vector on the image side. The principal
-vectors at zero angle span S ∩ K(S), so dim W = dim S + dim K(S) less the
-sines below ``quad_tol``: like the proximity, it depends on the spans alone.
+isometric coordinates of generator j. ``_spans`` turns R into orthonormal
+bases of S and K(S), from SVDs of its two column blocks, and their principal
+angles, so no Gram matrix is formed and the condition number is not squared.
+The worst-case relative projection error of the model over S equals the sine
+of the largest principal angle between those bases (Bjorck & Golub), and a
+maximizing witness function is any preimage of the top principal vector on
+the image side. The principal vectors at zero angle span S ∩ K(S), so
+dim W = dim S + dim K(S) less the sines below ``quad_tol``: like the
+proximity, it depends on the spans alone.
 
-A quadrature analysis always checks its rule: it recomputes dim S, dim K(S)
-and the proximity from the factor of the coarser rule of order ceil(q/2),
-and warns if a dimension differs or the proximity moves by ``quad_tol``.
-All three depend on the spans alone, so two bases of one span get the same
-verdict.
+A quadrature analysis always checks its rule: ``_spans`` recomputes dim S,
+dim K(S) and the proximity from the factor of the coarser rule of order
+ceil(q/2), and the analysis warns if a dimension differs or the proximity
+moves by ``quad_tol``. All three depend on the spans alone, so two bases of
+one span get the same verdict.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import (DegenerateSpace, PrincipalDecomposition, SubspaceBasis, _lead_factors,
-                       principal_angles)
+from .geometry import DegenerateSpace, SubspaceBasis, _lead_factors, principal_angles
 from .space import QuadratureSpace, _AtomProgram
 
 __all__ = [
@@ -202,8 +202,6 @@ class InvarianceAnalysis:
         quad_tol=DEFAULT_QUAD_TOL,
     ):
         self.atoms = tuple(atoms)
-        if not self.atoms:
-            raise ValueError("dictionary must be nonempty")
         self.space = space
         self.dynamics = dynamics
         self.rank_tol = float(rank_tol)
@@ -212,23 +210,12 @@ class InvarianceAnalysis:
 
         program = _AtomProgram(self.atoms)  # compiled once, for the check too
         factor = space.koopman_factor(program, dynamics)
-        m = len(self.atoms)
-
         # coordinates of each raw atom, and of its operator image
-        self.dict_coords = factor[:, :m]
-        self.image_map = factor[:, m:]
-        q, self.dictionary_basis = _span_basis(self.dict_coords, self.rank_tol)
-        self.q_image, self.image_basis = _span_basis(self.image_map, self.rank_tol)
-        self.dim_s, self.dim_ks = q.shape[1], self.q_image.shape[1]
-        if not (self.dim_s and self.dim_ks):
+        self.dict_coords, self.image_map = np.hsplit(factor, 2)
+        (q, self.dictionary_basis), (self.q_image, self.image_basis), self.decomposition = (
+            _spans(factor, self.rank_tol))
+        if self.decomposition is None:
             raise DegenerateSpace("no singular value above the rank tolerance")
-        self.q_s = SubspaceBasis(q)
-
-        # coordinates of the operator image of each orthonormal basis function
-        self.basis_image_map = self.image_map @ self.dictionary_basis
-        self.k_approx = self.basis_image_map.T @ q
-
-        self.decomposition: PrincipalDecomposition = principal_angles(self.q_s, self.q_image)
         if self.decomposition.swapped:
             # dim K(S) <= dim S always holds exactly; a numerical rank
             # decision that says otherwise leaves the witness side ambiguous
@@ -236,6 +223,13 @@ class InvarianceAnalysis:
                 "numerical rank of the image exceeds the rank of the "
                 "subspace; tighten rank_tol or rescale the dictionary"
             )
+        self.dim_s, self.dim_ks = q.shape[1], self.q_image.shape[1]
+        self.q_s = SubspaceBasis(q)
+
+        # coordinates of the operator image of each orthonormal basis function
+        self.basis_image_map = self.image_map @ self.dictionary_basis
+        self.k_approx = self.basis_image_map.T @ q
+
         self.angles = self.decomposition.angles
         self.proximity = float(np.sin(self.angles[-1]))
         self.dim_w = self.dim_s + self.dim_ks - int(np.sum(np.sin(self.angles) < self.quad_tol))
@@ -251,13 +245,13 @@ class InvarianceAnalysis:
         ``quad_tol`` or more. If the coarser rule agrees, the base rule has
         converged."""
         check = self.space.check_rule()
-        factor = check.koopman_factor(program, self.dynamics)
-        (q, _), (q_image, _) = (_span_basis(block, self.rank_tol)
-                                for block in np.hsplit(factor, 2))
+        (q, _), (q_image, _), decomposition = _spans(
+            check.koopman_factor(program, self.dynamics), self.rank_tol)
         dim_s, dim_ks = q.shape[1], q_image.shape[1]
-        proximity = np.nan  # the top sine between the spans, if neither is empty
-        if dim_s and dim_ks:
-            proximity = np.linalg.norm(q_image - q @ (q.T @ q_image), 2)
+        # the top sine from S to K(S), as in the analysis; 1 if K(S) has the
+        # higher rank, since then it holds a direction orthogonal to S
+        proximity = (np.nan if decomposition is None else 1.0 if decomposition.swapped
+                     else np.sin(decomposition.angles[-1]))
         drift = abs(proximity - self.proximity)
         if (dim_s, dim_ks) != (self.dim_s, self.dim_ks) or drift >= self.quad_tol:
             message = (
@@ -286,10 +280,6 @@ class InvarianceAnalysis:
 
     # -- derived quantities -----------------------------------------------------
 
-    def function_coords(self, coeffs):
-        """Coordinates of the function with the given raw-atom coefficients."""
-        return self.dict_coords @ np.asarray(coeffs, dtype=float).reshape(-1)
-
     def image_coords(self, coeffs):
         """Coordinates of the operator image of the same function."""
         return self.image_map @ np.asarray(coeffs, dtype=float).reshape(-1)
@@ -304,7 +294,7 @@ class InvarianceAnalysis:
         coeffs = f.coeffs if isinstance(f, FunctionVec) else np.asarray(f, dtype=float)
         image = self.image_coords(coeffs)
         image_norm = np.linalg.norm(image)
-        f_norm = np.linalg.norm(self.function_coords(coeffs))
+        f_norm = np.linalg.norm(self.dict_coords @ coeffs.reshape(-1))
         if image_norm <= _ZERO_IMAGE_TOL * max(f_norm, 1e-300):
             raise ZeroImage("operator image has numerically zero norm")
         q = self.q_s.coeffs
@@ -369,22 +359,15 @@ class InvarianceAnalysis:
         (real, imag) for reproducibility.
         """
         eigenvalues, vectors = np.linalg.eig(self.k_approx.T)
-        out = []
-        for i in range(eigenvalues.shape[0]):
-            lam = complex(eigenvalues[i])
-            if abs(lam.imag) <= 1e-12:
-                lam = complex(lam.real, 0.0)
-            elif lam.imag < 0:
-                continue  # conjugate partner is reported instead
-            v = vectors[:, i]
-            v = v / np.linalg.norm(v)
-            image = self.basis_image_map @ v
-            function = self.q_s.coeffs @ v
-            model_image = lam * function
-            denom = np.linalg.norm(function)
-            out.append((lam, float(np.linalg.norm(image - model_image) / denom)))
-        out.sort(key=lambda pair: (pair[0].real, pair[0].imag))
-        return out
+        real = np.abs(eigenvalues.imag) <= 1e-12
+        keep = real | (eigenvalues.imag > 0)  # a conjugate partner is reported instead
+        lams = np.where(real, eigenvalues.real, eigenvalues)[keep].astype(complex)
+        v = vectors[:, keep] / np.linalg.norm(vectors[:, keep], axis=0)
+        functions = self.q_s.coeffs @ v
+        residuals = (np.linalg.norm(self.basis_image_map @ v - functions * lams, axis=0)
+                     / np.linalg.norm(functions, axis=0))
+        return sorted(zip(lams.tolist(), residuals.tolist()),
+                      key=lambda pair: (pair[0].real, pair[0].imag))
 
     def report(self):
         return ProximityReport(
@@ -411,6 +394,16 @@ def _span_basis(coords, rank_tol):
     return u[:, :rank] * signs, v * signs / sigma[:rank]
 
 
+def _spans(factor, rank_tol):
+    """``((q, basis), (q_image, image_basis), decomposition)`` of a factor
+    whose two column blocks are the coordinates of the atoms and of their
+    images: ``_span_basis`` of each block and the principal decomposition of
+    the two spans, or ``None`` in its place if either block spans nothing."""
+    spans = [_span_basis(block, rank_tol) for block in np.hsplit(factor, 2)]
+    (q, _), (q_image, _) = spans
+    return (*spans, principal_angles(q, q_image) if q.shape[1] and q_image.shape[1] else None)
+
+
 def build_model(atoms, space, dynamics=None, rank_tol=DEFAULT_RANK_TOL):
     """Projected-operator model on span(atoms).
 
@@ -419,8 +412,6 @@ def build_model(atoms, space, dynamics=None, rank_tol=DEFAULT_RANK_TOL):
     quadrature backend plus dynamics map, or an empirical backend alone.
     """
     atoms = tuple(atoms)
-    if not atoms:
-        raise ValueError("dictionary must be nonempty")
     factor = space.koopman_factor(atoms, dynamics)
     m = len(atoms)
     q, basis = _span_basis(factor[:, :m], rank_tol)

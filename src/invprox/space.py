@@ -335,13 +335,15 @@ class QuadratureSpace(_InnerProductBackend):
 
     @cached_property
     def nodes(self):
-        """All nodes, shape (n_nodes, state_dim), built on first use."""
-        return self._rule(0, self.n_nodes)[0]
+        """All nodes, shape (n_nodes, state_dim), built with the weights on first use."""
+        nodes, self.weights = self._rule(0, self.n_nodes)
+        return nodes
 
     @cached_property
     def weights(self):
-        """All weights, shape (n_nodes,), built on first use."""
-        return self._rule(0, self.n_nodes)[1]
+        """All weights, shape (n_nodes,), built with the nodes on first use."""
+        self.nodes, weights = self._rule(0, self.n_nodes)
+        return weights
 
     def refined(self, factor=2):
         """Same domain at ``factor`` times the order, rounded up."""

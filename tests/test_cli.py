@@ -661,6 +661,27 @@ class TestPredictCommand:
         assert (out_a / "predict.json").read_bytes() == \
                (out_b / "predict.json").read_bytes()
 
+    @pytest.mark.parametrize("key, value", [("horizon", 10**15), ("n_trajectories", 10**12)])
+    def test_size_budget_is_config_error(self, tmp_path, capsys, key, value):
+        # horizon 10**15 asked numpy for 711 PiB of errors and exited 1
+        config = json.loads((CONFIGS_DIR / "s2.json").read_text())
+        config["experiment"][key] = value
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert run(["predict", "--config", write_config(tmp_path, config), "--out", out]) == 2
+        assert time.perf_counter() - start < 1.0
+        values = config["experiment"]["n_trajectories"] * (config["experiment"]["horizon"] + 1)
+        err = capsys.readouterr().err
+        assert f"is {values}, more than the {cli.MAX_PREDICT_VALUES} allowed" in err
+        assert not out.exists()
+
+    def test_size_budget_admits_its_bound(self, tmp_path, monkeypatch):
+        # s2 runs 100 trajectories of 10 steps: 100 * 11 values
+        monkeypatch.setattr(cli, "MAX_PREDICT_VALUES", 1100)
+        assert run(["predict", "--config", CONFIGS_DIR / "s2.json", "--out", tmp_path / "a"]) == 0
+        monkeypatch.setattr(cli, "MAX_PREDICT_VALUES", 1099)
+        assert run(["predict", "--config", CONFIGS_DIR / "s2.json", "--out", tmp_path / "b"]) == 2
+
 
 class TestOracleCommand:
     def test_invariant_subspace(self, tmp_path):

@@ -150,6 +150,11 @@ class TestBuildModel:
         with pytest.raises(DegenerateSpace):
             build_model(_atoms("0*x1"), quad, dynamics)
 
+    def test_empty_dictionary_raises(self, quad, dynamics):
+        for make in (InvarianceAnalysis, build_model):
+            with pytest.raises(ValueError, match="must be nonempty"):
+                make((), quad, dynamics)
+
     def test_basis_convention(self, quad, dynamics):
         # columns by descending singular value, each signed so that its
         # largest-magnitude coefficient is positive: the orthonormalize
@@ -466,6 +471,24 @@ def test_dictionary_compiled_once_per_analysis(quad, dynamics, dictionaries, mon
     assert compiled == [5]
 
 
+def _reference_residuals(analysis):
+    """Residual of each eigenpair of the model, one left eigenvector at a
+    time, each conjugate pair once (reference)."""
+    eigenvalues, vectors = np.linalg.eig(analysis.k_approx.T)
+    out = []
+    for i in range(eigenvalues.shape[0]):
+        lam = complex(eigenvalues[i])
+        if abs(lam.imag) <= 1e-12:
+            lam = complex(lam.real, 0.0)
+        elif lam.imag < 0:
+            continue
+        v = vectors[:, i] / np.linalg.norm(vectors[:, i])
+        function = analysis.q_s.coeffs @ v
+        image = analysis.basis_image_map @ v
+        out.append((lam, float(np.linalg.norm(image - lam * function) / np.linalg.norm(function))))
+    return sorted(out, key=lambda pair: (pair[0].real, pair[0].imag))
+
+
 class TestResiduals:
     def test_invariant_subspace(self, quad, dynamics, dictionaries):
         analysis = InvarianceAnalysis(dictionaries["S1"], quad, dynamics)
@@ -498,6 +521,20 @@ class TestResiduals:
         pairs = analysis.residuals()
         assert pairs and all(np.isfinite(res) for _, res in pairs)
         assert all(res <= bound + 1e-8 for _, res in pairs)
+
+    @pytest.mark.parametrize("case", ["S1", "S2", "S3", "complex pair", "legendre"])
+    def test_match_the_per_eigenpair_loop(self, box, quad, dynamics, dictionaries, case):
+        space, T, atoms = quad, dynamics, dictionaries.get(case)
+        if case == "complex pair":
+            T, atoms = DynamicsMap.from_strings(["0.5*x2", "-0.5*x1"], 2), _atoms("x1", "x2")
+        elif case == "legendre":
+            space, atoms = QuadratureSpace(box, 40), sweep_atoms(case, 8)  # the dict-sweep's order
+        analysis = InvarianceAnalysis(atoms, space, T)
+        got, want = analysis.residuals(), _reference_residuals(analysis)
+        assert [lam for lam, _ in got] == [lam for lam, _ in want]
+        assert all(type(lam) is complex and type(res) is float for lam, res in got)
+        scale = 1e-13 * analysis.restricted_norm()
+        assert all(abs(a - b) <= scale for (_, a), (_, b) in zip(got, want))
 
     def test_complex_pair_reported_once(self, quad):
         # a rotation-like map produces a conjugate eigenvalue pair
@@ -670,6 +707,31 @@ class TestQuadratureDiagnostics:
         assert re.fullmatch(r"quadrature order 5 not converged: proximity changes by "
                             r"\d\.\d{3}e-0[1-3], dim S 5 -> 5, dim K\(S\) 5 -> 5 at order 3",
                             str(caught[0].message))
+
+    def test_coarse_image_of_higher_rank_moves_the_proximity_to_one(self, box, dynamics):
+        # at order 2, 3*x1^2-1 vanishes at the nodes x1 = +-1/sqrt(3), so dim S
+        # drops to 1 while K(S) keeps 2: K(S) holds a direction off S, and the
+        # check's proximity is 1
+        with pytest.warns(UserWarning) as caught:
+            analysis = InvarianceAnalysis(_atoms("x1", "3*x1^2-1"), QuadratureSpace(box, 3),
+                                          dynamics)
+        assert [str(w.message) for w in caught] == [
+            "quadrature order 3 not converged: proximity changes by 7.463e-01, "
+            "dim S 2 -> 1, dim K(S) 2 -> 2 at order 2"]
+
+    def test_check_matches_the_analysis_at_the_coarse_order(self, box, dynamics, dictionaries):
+        # order 5 is checked at order 3: the check's dims and drift are those
+        # of a full analysis at order 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # order 3 has its own check, at order 2
+            coarse = InvarianceAnalysis(dictionaries["S3"], QuadratureSpace(box, 3), dynamics)
+        with pytest.warns(UserWarning) as caught:
+            analysis = InvarianceAnalysis(dictionaries["S3"], QuadratureSpace(box, 5), dynamics)
+        drift = abs(coarse.proximity - analysis.proximity)
+        assert [str(w.message) for w in caught] == [
+            f"quadrature order 5 not converged: proximity changes by {drift:.3e}, "
+            f"dim S {analysis.dim_s} -> {coarse.dim_s}, dim K(S) {analysis.dim_ks} -> "
+            f"{coarse.dim_ks} at order 3"]
 
     @pytest.mark.parametrize("degree", [12, 14, 16])
     def test_sweep_bases_get_the_same_verdict(self, box, dynamics, degree):

@@ -62,6 +62,22 @@ class TestQuadrature:
             volume = Domain(bounds).volume
             assert np.sum(space.weights) == pytest.approx(volume, rel=1e-12)
 
+    @pytest.mark.parametrize("first", ["nodes", "weights"])
+    def test_full_rule_is_built_once(self, box, monkeypatch, first):
+        # nodes and weights each built the whole tensor rule and kept half
+        calls = []
+        rule = QuadratureSpace._rule
+        monkeypatch.setattr(QuadratureSpace, "_rule",
+                            lambda space, lo, hi: calls.append((lo, hi)) or rule(space, lo, hi))
+        space = QuadratureSpace(box, 6)
+        getattr(space, first)
+        assert "nodes" in vars(space) and "weights" in vars(space)
+        space.gram(_atoms("1", "x1"))
+        space.inner_product(*_atoms("x1", "x2"))
+        assert calls == [(0, 36)]
+        assert np.array_equal(space.nodes, space._rule(0, 36)[0])
+        assert np.array_equal(space.weights, space._rule(0, 36)[1])
+
     def test_order_above_the_maximum_rejected(self, box):
         with pytest.raises(ValueError, match=f"maximum {space_module.MAX_QUAD_ORDER}"):
             QuadratureSpace(box, space_module.MAX_QUAD_ORDER + 1)
