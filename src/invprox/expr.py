@@ -237,10 +237,10 @@ class Program:
     ``program(points, out=None)`` writes the value of expression i at point
     k to ``out[i, k]`` and returns ``out`` (a new ``(len(exprs), n)`` array
     if none is given; any writable array of that shape works, e.g. the
-    transposed view of a point-major buffer). Step k of ``steps`` is ``(op,
-    a, b, release, rows, keep)``: the ``_compile`` step, the steps whose
-    last use it is, the output rows it fills, and whether a later step
-    reads it.
+    transposed view of columns of a column-major buffer). Step k of
+    ``steps`` is ``(op, a, b, release, rows, keep)``: the ``_compile`` step,
+    the steps whose last use it is, the output rows it fills, and whether a
+    later step reads it.
     """
 
     steps: tuple

@@ -93,7 +93,7 @@ class FunctionVec:
         return _AtomProgram(self.atoms)
 
     def __call__(self, points):
-        return self._program.values(points, point_major=True) @ self.coeffs
+        return self.coeffs @ self._program.values(points)
 
     def eval(self, point):
         return float(self(np.asarray(point, dtype=float).reshape(1, -1))[0])
@@ -127,7 +127,7 @@ class KoopmanModel:
 
     def eval_basis(self, points):
         """Orthonormal basis functions evaluated at points, shape (m, dim)."""
-        return self._program.values(points, point_major=True) @ self.basis
+        return self._program.values(points).T @ self.basis
 
     def predict_coeffs(self, coeffs, steps=1):
         """Coefficients of the predicted image after ``steps`` applications.
@@ -215,7 +215,8 @@ class InvarianceAnalysis:
         (q, self.dictionary_basis), (self.q_image, self.image_basis), self.decomposition = (
             _spans(factor, self.rank_tol))
         if self.decomposition is None:
-            raise DegenerateSpace("no singular value above the rank tolerance")
+            block = "image block K(S)" if self.dictionary_basis.shape[1] else "dictionary block S"
+            raise DegenerateSpace(f"no singular value above the rank tolerance in the {block}")
         if self.decomposition.swapped:
             # dim K(S) <= dim S always holds exactly; a numerical rank
             # decision that says otherwise leaves the witness side ambiguous
@@ -416,7 +417,8 @@ def build_model(atoms, space, dynamics=None, rank_tol=DEFAULT_RANK_TOL):
     m = len(atoms)
     q, basis = _span_basis(factor[:, :m], rank_tol)
     if not basis.shape[1]:
-        raise DegenerateSpace("no singular value above the rank tolerance")
+        raise DegenerateSpace(
+            "no singular value above the rank tolerance in the dictionary block S")
     return KoopmanModel(atoms=atoms, k_approx=(factor[:, m:] @ basis).T @ q, basis=basis)
 
 

@@ -12,13 +12,14 @@ Two backends realize ``<f, g>`` for evaluable functions:
   into the snapshot set, which makes the two backends agree exactly.
 
 Both backends compile a dictionary once into one program, which evaluates
-each distinct subtree once per node set. ``koopman_factor`` streams the
-nodes: block by block it evaluates the dictionary and its images, scales
-them by ``sqrt(w)`` and folds them into a QR factor, so its memory does not
-grow with the node count. The reference functions
-``gram``, ``inner_product`` and ``koopman_gram_blocks`` evaluate all nodes
-into an atom-major array (one contiguous row per atom) and sum each Gram entry
-``w * (v_i * v_j)`` along its row, so repeated runs are bit-stable. An
+each distinct subtree once per node set into atom-major values: the values
+of one atom at consecutive nodes are contiguous. ``koopman_factor`` streams
+the nodes: block by block it evaluates the dictionary and its images into
+the columns of a column-major buffer, scales them by ``sqrt(w)`` and folds
+them into a QR factor, so its memory does not grow with the node count. The
+reference functions ``gram``, ``inner_product`` and ``koopman_gram_blocks``
+evaluate all nodes into one atom-major array and sum each Gram entry ``w *
+(v_i * v_j)`` along its row, so repeated runs are bit-stable. An
 empirical backend never needs the dynamics map: the image of a dictionary
 function under composition with T is obtained by evaluating the function at
 the successor snapshots.
@@ -160,11 +161,10 @@ class _AtomProgram:
         self.exprs = [i for i, atom in enumerate(self.atoms) if isinstance(atom, Expr)]
         self.program = compile_exprs([self.atoms[i] for i in self.exprs])
 
-    def fill(self, points, out, label=_atom_label, point_major=False):
+    def fill(self, points, out, label=_atom_label):
         """Write the values at the ``(n, d)`` points into ``out``, a writable
         ``(n_atoms, n)`` array or view. A NonFiniteValue names ``label(atom,
-        i)`` and the first atom and point with an inf/nan value, in atom-major
-        order (first state, then atom, if ``point_major``)."""
+        i)`` of the first atom with an inf/nan value, and its first such point."""
         if len(self.exprs) == len(self.atoms):
             self.program(points, out)
         else:
@@ -178,20 +178,14 @@ class _AtomProgram:
                                      f"for {points.shape[0]} points")
                 out[i] = row
         if not np.isfinite(out).all():
-            layout = out.T if point_major else out
-            first = np.argwhere(~np.isfinite(layout))[0]
-            j, i = first if point_major else first[::-1]
-            raise NonFiniteValue(label(self.atoms[i], i), points[j], layout[tuple(first)])
+            i, j = np.argwhere(~np.isfinite(out))[0]
+            raise NonFiniteValue(label(self.atoms[i], i), points[j], out[i, j])
         return out
 
-    def values(self, points, label=_atom_label, point_major=False):
-        """Values at the points, shape (n_atoms, n_points), or the
-        C-contiguous (n_points, n_atoms) if ``point_major``."""
+    def values(self, points, label=_atom_label):
+        """Values at the points, shape (n_atoms, n_points)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        shape = (len(self.atoms), points.shape[0])
-        if point_major:
-            return self.fill(points, np.empty(shape[::-1]).T, label, True).T
-        return self.fill(points, np.empty(shape), label)
+        return self.fill(points, np.empty((len(self.atoms), points.shape[0])), label)
 
 
 def _weighted_gram(values, weights, other=None):
@@ -257,22 +251,24 @@ class _InnerProductBackend:
 
         The nodes stream through in blocks of ``rows = max(2m,
         _QR_BLOCK_VALUES // 2m)``. Each block of Psi and K Psi is evaluated
-        straight into the point-major rows below R in one ``(2m + rows, 2m)``
-        buffer, scaled by ``sqrt(w)`` in place, and folded into R by one
-        LAPACK QR (the tall-skinny QR of Demmel et al., 2012). Memory is about
-        ``(2m + rows) * 2m * 8`` bytes for the buffer, the same again for
-        LAPACK's copy, and ``rows * (d + live subtrees) * 8`` bytes for the
-        evaluation, whatever the node count. The dictionary is compiled once
-        per call, or not at all if ``atoms`` is an ``_AtomProgram`` already. A
-        NonFiniteValue reports the first block with an inf/nan, in it Psi
-        before K Psi, and then the first atom and its first point.
+        straight into the rows below R in one column-major ``(2m + rows, 2m)``
+        buffer, so each atom's values are contiguous and LAPACK reads the
+        buffer in its own order. The block is scaled by ``sqrt(w)`` in place
+        and folded into R by one LAPACK QR (the tall-skinny QR of Demmel et
+        al., 2012). Memory is about ``(2m + rows) * 2m * 8`` bytes for the
+        buffer, the same again for LAPACK's copy, and ``rows * (d + live
+        subtrees) * 8`` bytes for the evaluation, whatever the node count.
+        The dictionary is compiled once per call, or not at all if ``atoms``
+        is an ``_AtomProgram`` already. A NonFiniteValue reports the first
+        block with an inf/nan, in it Psi before K Psi, and then the first atom
+        and its first point.
         """
         program = atoms if isinstance(atoms, _AtomProgram) else _AtomProgram(atoms)
         m = len(program.atoms)
         if not m:
             raise ValueError("atom list must be nonempty")
         rows = max(2 * m, _QR_BLOCK_VALUES // (2 * m))
-        buf = np.empty((2 * m + rows, 2 * m))
+        buf = np.empty((2 * m + rows, 2 * m), order="F")
         top = 0  # rows of R at the top of buf: min(2m, nodes folded so far)
         for nodes, weights, images in self._blocks(rows, dynamics):
             end = top + weights.shape[0]

@@ -426,6 +426,20 @@ class TestProximityCommand:
                     "--out", tmp_path])
         assert code == 3
 
+    @pytest.mark.parametrize("dictionary, block", [
+        (["0*x1"], "dictionary block S"),  # S = {0}
+        (["x1"], r"image block K\(S\)"),   # S is fine, only K(S) = {0}
+    ])
+    def test_degenerate_space_names_the_empty_block(self, tmp_path, capsys, dictionary, block):
+        config = {"state_dim": 1, "domain": [[-1.0, 1.0]],
+                  "backend": {"type": "quadrature", "order": 20},
+                  "dynamics": ["0*x1"], "dictionary": dictionary}
+        code = run(["proximity", "--config", write_config(tmp_path, config),
+                    "--out", tmp_path])
+        assert code == 3
+        assert re.search("DegenerateSpace: no singular value above the rank tolerance "
+                         f"in the {block}$", capsys.readouterr().err.strip())
+
     def test_empirical_with_dynamics_rejected(self, tmp_path, dynamics):
         rng = np.random.default_rng(0)
         X = rng.uniform(-1, 1, size=(50, 2))

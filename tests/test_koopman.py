@@ -56,11 +56,13 @@ def _sweep_dictionary(basis, degree):
 
 
 def _column_stack_atom_values(atoms, points):
-    """Point-major values one atom at a time, as _atom_values was (reference)."""
+    """Point-major values one atom at a time, as _atom_values was; inf/nan is
+    reported at the first atom that has one, then at its first point
+    (reference)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     values = np.column_stack([np.asarray(a(pts), dtype=float) for a in atoms])
     if not np.isfinite(values).all():
-        row, col = np.argwhere(~np.isfinite(values))[0]
+        col, row = np.argwhere(~np.isfinite(values.T))[0]
         raise NonFiniteValue(_atom_label(atoms[col], col), pts[row], values[row, col])
     return values
 
@@ -72,22 +74,22 @@ class TestAtomValues:
         mixed = s3 + (FunctionVec([1.0, -2.0], s3[1:3]), compose_with_map(s3[3], dynamics))
         for atoms in (s3, sweep_atoms("legendre", 8), mixed):
             for pts in (points, points[0]):
-                got = _AtomProgram(atoms).values(pts, point_major=True)
-                want = _column_stack_atom_values(atoms, pts)
+                got = _AtomProgram(atoms).values(pts)
+                want = _column_stack_atom_values(atoms, pts).T
                 assert got.flags.c_contiguous and got.shape == want.shape
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
-    def test_non_finite_names_the_first_state_then_atom(self):
-        # log(x2) fails first in atom order, sqrt(x1) at the earlier state
+    def test_non_finite_names_the_first_atom_then_state(self):
+        # sqrt(x1) fails at the earlier state, log(x2) first in atom order
         atoms = _atoms("1", "log(x2)", "sqrt(x1)")
         points = np.array([[0.5, 0.5], [-1.0, 0.5], [0.5, -1.0]])
         with pytest.raises(NonFiniteValue) as want:
             _column_stack_atom_values(atoms, points)
         with pytest.raises(NonFiniteValue) as got:
-            _AtomProgram(atoms).values(points, point_major=True)
+            _AtomProgram(atoms).values(points)
         assert str(got.value) == str(want.value)
-        assert got.value.label == "sqrt(x1)"
-        assert np.array_equal(got.value.point, [-1.0, 0.5])
+        assert got.value.label == "log(x2)"
+        assert np.array_equal(got.value.point, [0.5, -1.0])
 
 
 class TestBuildModel:

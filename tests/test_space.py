@@ -277,6 +277,18 @@ class TestKoopmanBlocks:
             scale = np.max(np.abs(reference))
             assert np.max(np.abs(R.T @ R - reference)) <= 1e-12 * scale
 
+    def test_one_block_factor_is_lapack_qr_bitwise(self, quad, dynamics, dictionaries):
+        # 400 nodes fit one block: the fold is one QR of sqrt(w) * [Psi, K Psi]
+        atoms = dictionaries["S3"]
+        X = np.random.default_rng(21).uniform(-1, 1, size=(quad.n_nodes, 2))
+        for space, dyn, images in ((quad, dynamics, dynamics(quad.nodes)),
+                                   (EmpiricalSpace(X, dynamics(X)), None, dynamics(X))):
+            program = _AtomProgram(atoms)
+            stacked = np.hstack([program.values(space.nodes).T, program.values(images).T])
+            want = np.linalg.qr(np.sqrt(space.weights)[:, None] * stacked, mode="r")
+            got = space.koopman_factor(atoms, dyn)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
 
 def _factor_case(backend, mixed, n):
     """A space of n nodes, its dynamics map (None if empirical) and a
