@@ -13,8 +13,8 @@ Exit codes: 0 ok; 2 configuration or parse error; 3 numerical failure;
 4 internal-consistency failure (the sampling oracle exceeded the closed
 form, which indicates a bug rather than a user error).
 
-Output numbers are IEEE doubles printed with 17 significant digits, so
-identical configurations and seeds produce byte-identical files.
+Numbers are printed as the shortest decimal that reads back as the same
+double, so identical configurations and seeds give byte-identical files.
 
 Each command runs OpenBLAS on one thread, process-wide, and restores the
 caller's thread count when it returns.
@@ -168,35 +168,8 @@ _DEFAULTS = {
 # --- deterministic emission ---------------------------------------------------
 
 def format_float(value):
-    """17 significant digits: enough to round-trip any IEEE double."""
-    return format(float(value), ".17g")
-
-
-def _to_json(value, indent=0):
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  {json.dumps(str(key))}: {_to_json(item, indent + 1)}'
-            for key, item in value.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(value, (list, tuple, np.ndarray)):
-        seq = list(value)
-        if not seq:
-            return "[]"
-        items = ",\n".join(f"{pad}  {_to_json(item, indent + 1)}" for item in seq)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(value)
-    if value is None:
-        return "null"
-    return json.dumps(str(value))
+    """The shortest decimal that reads back as the same IEEE double."""
+    return repr(float(value))
 
 
 def _output(path):
@@ -207,17 +180,14 @@ def _output(path):
 
 
 def write_json(path, payload):
-    _output(path).write_text(_to_json(payload) + "\n")
+    _output(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def write_csv(path, header, rows, comments=()):
+    """``rows`` of Python scalars; ``str`` of a float is its shortest round trip."""
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(
-            format_float(v) if isinstance(v, (float, np.floating)) else str(v)
-            for v in row
-        ))
+    lines.extend(",".join(map(str, row)) for row in rows)
     _output(path).write_text("\n".join(lines) + "\n")
 
 

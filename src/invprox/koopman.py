@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import DegenerateSpace, SubspaceBasis, _lead_factors, principal_angles
-from .space import QuadratureSpace, _AtomProgram
+from .space import NonFiniteValue, QuadratureSpace, _AtomProgram
 
 __all__ = [
     "InconsistentSystem",
@@ -536,10 +536,12 @@ def _refine(errors_of, point, value, max_steps, maps):
 def _simulate(model, dynamics, starts, horizon):
     """Percent errors ``(n_starts, horizon)`` and, per start, the step at
     which its evaluated dictionary vanished (0: never); from that step on
-    the trajectory is left out of the batch and not evaluated again."""
+    the trajectory is left out of the batch and not evaluated again. A
+    non-finite percent error (an overflowing prediction) raises
+    NonFiniteValue naming the step and the start."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    state = np.atleast_2d(np.asarray(starts, dtype=float))
+    state = starts = np.atleast_2d(np.asarray(starts, dtype=float))
     errors = np.zeros((state.shape[0], horizon))
     vanished = np.zeros(state.shape[0], dtype=int)
     live = np.arange(state.shape[0])
@@ -553,7 +555,11 @@ def _simulate(model, dynamics, starts, horizon):
         vanished[live[gone]] = k
         live, state, prediction, truth, truth_norm = (
             a[~gone] for a in (live, state, prediction, truth, truth_norm))
-        errors[live, k - 1] = 100.0 * np.linalg.norm(truth - prediction, axis=1) / truth_norm
+        step = errors[live, k - 1] = 100.0 * np.linalg.norm(truth - prediction, axis=1) / truth_norm
+        if not np.isfinite(step).all():
+            i = np.argmin(np.isfinite(step))
+            raise NonFiniteValue(f"percent error at step {k} of the trajectory from "
+                                 f"{starts[live[i]]}", state[i], step[i])
     return errors, vanished
 
 

@@ -483,6 +483,4 @@ def write_snapshots(path, snapshots_x, snapshots_y):
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(_snapshot_header(n))
-        for xrow, yrow in zip(X, Y):
-            writer.writerow([format(v, ".17g") for v in xrow]
-                            + [format(v, ".17g") for v in yrow])
+        writer.writerows(x.tolist() + y.tolist() for x, y in zip(X, Y))

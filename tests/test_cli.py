@@ -53,14 +53,19 @@ def test_config_schema_is_valid():
     jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
 
 
-def test_cli_import_leaves_out_jsonschema():
-    # none of jsonschema and its dependencies may return to the import path
+def src_env():
+    """The environment with ``src/`` first on PYTHONPATH, for subprocesses."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_cli_import_leaves_out_jsonschema():
+    # none of jsonschema and its dependencies may return to the import path
     code = "import sys, invprox.cli; print(' '.join(sys.modules))"
-    result = subprocess.run([sys.executable, "-c", code], env=env,
+    result = subprocess.run([sys.executable, "-c", code], env=src_env(),
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr[-2000:]
     loaded = {name.partition(".")[0] for name in result.stdout.split()}
@@ -463,6 +468,58 @@ class TestProximityCommand:
                     "--out", tmp_path, "--quad-order", 10])
         assert code == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("weight\n0.5\n", "weights file must start with header 'w'"),
+        ("w\n0.5\nheavy\n", "could not convert string to float: 'heavy'"),
+    ])
+    def test_bad_weights_file_is_config_error(self, tmp_path, capsys, dynamics,
+                                              text, message):
+        X = np.random.default_rng(0).uniform(-1, 1, size=(20, 2))
+        snaps, weights = tmp_path / "snaps.csv", tmp_path / "weights.csv"
+        write_snapshots(snaps, X, dynamics(X))
+        weights.write_text(text)
+        config = base_config(DICTIONARIES["S2"])
+        del config["dynamics"]
+        config["backend"] = {"type": "empirical", "snapshot_path": str(snaps),
+                             "weights_path": str(weights)}
+        assert run(["proximity", "--config", write_config(tmp_path, config),
+                    "--out", tmp_path / "out"]) == 2
+        assert f"configuration error: {weights}: {message}" in capsys.readouterr().err
+
+    def test_snapshot_dimension_must_match_the_config(self, tmp_path, capsys):
+        X = np.random.default_rng(0).uniform(-1, 1, size=(20, 3))
+        snaps = tmp_path / "snaps.csv"
+        write_snapshots(snaps, X, 0.5 * X)
+        config = base_config(DICTIONARIES["S2"])
+        del config["dynamics"]
+        config["backend"] = {"type": "empirical", "snapshot_path": str(snaps)}
+        assert run(["proximity", "--config", write_config(tmp_path, config),
+                    "--out", tmp_path / "out"]) == 2
+        assert ("configuration error: snapshots have dimension 3, config says 2"
+                in capsys.readouterr().err)
+
+    def test_quadrature_backend_requires_dynamics(self, tmp_path, capsys):
+        config = base_config(DICTIONARIES["S2"])
+        del config["dynamics"]
+        assert run(["proximity", "--config", write_config(tmp_path, config),
+                    "--out", tmp_path / "out"]) == 2
+        assert ("configuration error: the quadrature backend requires a dynamics section"
+                in capsys.readouterr().err)
+
+    def test_rank_tol_flag_reaches_the_analysis(self, tmp_path):
+        assert run(["proximity", "--config", CONFIGS_DIR / "s1.json", "--out", tmp_path,
+                    "--rank-tol", 1e-8]) == 0
+        report = json.loads((tmp_path / "proximity.json").read_text())
+        assert report["diagnostics"]["rank_tol"] == 1e-8
+
+    @pytest.mark.parametrize("command", ["oracle", "predict"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert run([command, "--config", CONFIGS_DIR / "s2.json", "--out", out,
+                    "--seed", -1]) == 2
+        assert "configuration error: --seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empirical_proximity_runs(self, tmp_path, dynamics):
         rng = np.random.default_rng(1)
         X = rng.uniform(-1, 1, size=(400, 2))
@@ -581,6 +638,13 @@ class TestTable1Command:
         assert (out_a / "table1.csv").read_bytes() == \
                (out_b / "table1.csv").read_bytes()
 
+    def test_runs_as_a_module(self, tmp_path):
+        result = subprocess.run([sys.executable, "-m", "invprox.cli", "table1",
+                                 "--out", str(tmp_path)], env=src_env(),
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert (tmp_path / "table1.csv").read_text().startswith("subspace,proximity\nS1,")
+
 
 class TestPredictCommand:
     def test_invariant_subspace_errors_vanish(self, tmp_path):
@@ -648,6 +712,24 @@ class TestPredictCommand:
         assert run(["predict", "--config", write_config(tmp_path, config),
                     "--out", tmp_path]) == 3
         assert "NonFiniteValue: sqrt(x1+2.0) is non-finite (nan)" in capsys.readouterr().err
+
+    def test_overflowing_prediction_is_numerical_failure(self, tmp_path, capsys):
+        # composing with x -> x/2 widens the bump, so the model matrix is
+        # 1.2649, no contraction: the prediction's norm overflows at step
+        # 1523, where predict.csv once read inf and nan and the run exited 0
+        config = {"state_dim": 1, "domain": [[-1.0, 1.0]],
+                  "backend": {"type": "quadrature", "order": 40},
+                  "dynamics": ["0.5*x1"], "dictionary": ["exp(-50*x1^2)"],
+                  "experiment": {"n_trajectories": 3, "horizon": 4000, "sampling_seed": 0}}
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        with np.errstate(over="ignore"):
+            assert run(["predict", "--config", write_config(tmp_path, config),
+                        "--out", out]) == 3
+        assert time.perf_counter() - start < 2.0
+        err = capsys.readouterr().err
+        assert "NonFiniteValue: percent error at step 1523 of the trajectory from [" in err
+        assert not out.exists()
 
     def test_expression_calls_are_batched(self, tmp_path, monkeypatch):
         # one call per atom or dynamics component and step for all

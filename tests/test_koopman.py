@@ -674,6 +674,20 @@ class TestTrajectoryError:
                              for x0 in starts])
         assert np.all(np.median(errors2, axis=0) < np.median(errors3, axis=0))
 
+    def test_overflowing_prediction_raises(self):
+        # the model matrix of this bump under x -> x/2 is 1.2649: the
+        # prediction grows until its norm overflows, and no error is inf
+        space = QuadratureSpace(Domain(((-1.0, 1.0),)), 40)
+        dynamics = DynamicsMap.from_strings(["0.5*x1"], 1)
+        model = build_model((parse("exp(-50*x1^2)", 1),), space, dynamics)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteValue, match=r"^percent error at step \d+ of the "
+                                                     r"trajectory from \[0\.5\] is non-finite"):
+                trajectory_error(model, dynamics, [0.5], 4000)
+            # the start whose error overflows first is named, not the first start
+            with pytest.raises(NonFiniteValue, match=r"trajectory from \[0\.\] "):
+                trajectory_errors(model, dynamics, [[0.5], [0.0]], 4000)
+
     def test_zero_norm_raises(self, quad, dynamics):
         model = build_model(_atoms("x1"), quad, dynamics)
         with pytest.raises(ZeroNorm, match="vanished at step 1$"):
