@@ -44,7 +44,7 @@ from .koopman import (
     trajectory_errors,
 )
 from .space import (DEFAULT_QUAD_ORDER, MAX_QUAD_ORDER, Domain, EmpiricalSpace,
-                    NonFiniteValue, QuadratureSpace, read_snapshots)
+                    NonFiniteValue, QuadratureSpace, read_snapshots, read_weights)
 
 __all__ = ["main", "CONFIG_SCHEMA", "SYSTEM_REGISTRY", "ConfigError"]
 
@@ -327,41 +327,23 @@ def _parse_dynamics(config):
         raise ConfigError(f"dynamics expression: {exc}") from exc
 
 
-def _read_weights(path):
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0].strip() != "w":
-        raise ConfigError(f"{path}: weights file must start with header 'w'")
-    try:
-        return np.array([float(line) for line in lines[1:]])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
 def build_space(config):
     backend = config["backend"]
-    try:  # an invalid interval, or a rule or its check rule above the node budget
+    try:  # a bad interval, a rule or its check rule over the node budget, or a bad file
         domain = Domain(tuple(tuple(b) for b in config["domain"]))
         if backend["type"] == "quadrature":
             space = QuadratureSpace(domain, backend.get("order", DEFAULT_QUAD_ORDER))
             space.check_rule()
             return space
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
         snapshots_x, snapshots_y = read_snapshots(backend["snapshot_path"])
-    except (OSError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    if snapshots_x.shape[1] != config["state_dim"]:
-        raise ConfigError(
-            f"snapshots have dimension {snapshots_x.shape[1]}, "
-            f"config says {config['state_dim']}"
-        )
-    weights = None
-    if "weights_path" in backend:
-        weights = _read_weights(backend["weights_path"])
-    try:
+        if snapshots_x.shape[1] != config["state_dim"]:
+            raise ValueError(f"snapshots have dimension {snapshots_x.shape[1]}, "
+                             f"config says {config['state_dim']}")
+        weights = None
+        if "weights_path" in backend:
+            weights = read_weights(backend["weights_path"])
         return EmpiricalSpace(snapshots_x, snapshots_y, weights)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 

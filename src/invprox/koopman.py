@@ -550,12 +550,14 @@ def _simulate(model, dynamics, starts, horizon):
         state = np.atleast_2d(dynamics(state))
         prediction = prediction @ model.k_approx.T
         truth = model.eval_basis(state)
-        truth_norm = np.linalg.norm(truth, axis=1)
-        gone = truth_norm < 1e-14
-        vanished[live[gone]] = k
-        live, state, prediction, truth, truth_norm = (
-            a[~gone] for a in (live, state, prediction, truth, truth_norm))
-        step = errors[live, k - 1] = 100.0 * np.linalg.norm(truth - prediction, axis=1) / truth_norm
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            truth_norm = np.linalg.norm(truth, axis=1)
+            gone = truth_norm < 1e-14
+            vanished[live[gone]] = k
+            live, state, prediction, truth, truth_norm = (
+                a[~gone] for a in (live, state, prediction, truth, truth_norm))
+            step = errors[live, k - 1] = (100.0 * np.linalg.norm(truth - prediction, axis=1)
+                                          / truth_norm)
         if not np.isfinite(step).all():
             i = np.argmin(np.isfinite(step))
             raise NonFiniteValue(f"percent error at step {k} of the trajectory from "

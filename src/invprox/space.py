@@ -43,6 +43,7 @@ __all__ = [
     "QuadratureSpace",
     "EmpiricalSpace",
     "read_snapshots",
+    "read_weights",
     "write_snapshots",
 ]
 
@@ -412,62 +413,73 @@ class EmpiricalSpace(_InnerProductBackend):
 # --- Snapshot CSV format ------------------------------------------------------
 
 def _snapshot_header(state_dim):
-    return [f"x{k}" for k in range(1, state_dim + 1)] + [
-        f"y{k}" for k in range(1, state_dim + 1)
-    ]
+    return [f"{v}{k}" for v in "xy" for k in range(1, state_dim + 1)]
+
+
+def _header(path):
+    """The stripped cells of the first CSV row of ``path``, or None if it
+    has none. Python opens the file, so a URL or a compressed file is
+    refused here rather than fetched or decompressed by numpy."""
+    with open(path, newline="") as handle:
+        row = next(csv.reader(handle), None)
+    return None if row is None else [cell.strip() for cell in row]
 
 
 def read_snapshots(path):
-    """Read snapshot pairs from CSV with header ``x1,..,xn,y1,..,yn``.
-
-    The rows are parsed by one ``np.loadtxt`` call. If it refuses them, or
-    finds no rows or the wrong width, they are read again row by row, so
-    rows with the wrong number of fields or non-numeric entries are rejected
-    with the offending line number. Returns C-contiguous X and Y.
-    """
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty snapshot file") from None
-        header = [h.strip() for h in header]
-        if len(header) % 2 != 0 or not header:
-            raise ValueError(f"{path}: header must list x1..xn,y1..yn")
-        n = len(header) // 2
-        if header != _snapshot_header(n):
-            raise ValueError(
-                f"{path}: bad header {header!r}, expected {_snapshot_header(n)!r}"
-            )
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # no data rows
-                data = np.loadtxt(handle, delimiter=",", comments=None,
-                                  quotechar='"', ndmin=2)
-        except ValueError:
-            data = np.empty((0, 0))
-        if data.shape[0] == 0 or data.shape[1] != 2 * n:
-            handle.seek(0)
-            reader = csv.reader(handle)
-            next(reader)
-            data = _read_rows(path, reader, n)
+    """Read snapshot pairs from CSV with header ``x1,..,xn,y1,..,yn``, the
+    rows by ``_read_table``. Returns C-contiguous X and Y."""
+    header = _header(path)
+    if header is None:
+        raise ValueError(f"{path}: empty snapshot file")
+    if len(header) % 2 != 0 or not header:
+        raise ValueError(f"{path}: header must list x1..xn,y1..yn")
+    n = len(header) // 2
+    if header != _snapshot_header(n):
+        raise ValueError(f"{path}: bad header {header!r}, expected {_snapshot_header(n)!r}")
+    data = _read_table(path, 2 * n)
     return np.ascontiguousarray(data[:, :n]), np.ascontiguousarray(data[:, n:])
 
 
-def _read_rows(path, reader, n):
-    """Snapshot rows parsed one at a time, naming the first bad line."""
+def read_weights(path):
+    """Read one weight per snapshot from CSV with header ``w``, the rows by
+    ``_read_table``."""
+    if _header(path) != ["w"]:
+        raise ValueError(f"{path}: weights file must start with header 'w'")
+    return _read_table(path, 1)[:, 0]
+
+
+def _read_table(path, width):
+    """The rows of ``width`` floats below the header row of ``path``.
+
+    numpy parses them from the path, in C, in one ``np.loadtxt`` call. If it
+    refuses them (or a decompressor it picked by the suffix refuses the
+    text), or finds no rows or another width, they are read again row by
+    row, so the first bad line is named. Blank lines are skipped, ``#``
+    starts no comment and quoted cells are read.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data rows
+            data = np.loadtxt(path, skiprows=1, delimiter=",", comments=None,
+                              quotechar='"', ndmin=2)
+    except Exception:
+        data = np.empty((0, 0))
+    if data.shape[0] and data.shape[1] == width:
+        return data
     rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 2 * n:
-            raise ValueError(
-                f"{path}:{lineno}: expected {2 * n} fields, got {len(row)}"
-            )
-        try:
-            rows.append([float(cell) for cell in row])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        for row in reader:  # reader.line_num: the row's last line, if quotes span lines
+            if not row:
+                continue
+            if len(row) != width:
+                raise ValueError(f"{path}:{reader.line_num}: expected {width} fields, "
+                                 f"got {len(row)}")
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no snapshot rows")
     return np.array(rows)

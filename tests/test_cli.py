@@ -1,10 +1,12 @@
 import copy
+import dataclasses
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -468,12 +470,12 @@ class TestProximityCommand:
                     "--out", tmp_path, "--quad-order", 10])
         assert code == 2
 
-    @pytest.mark.parametrize("text, message", [
-        ("weight\n0.5\n", "weights file must start with header 'w'"),
-        ("w\n0.5\nheavy\n", "could not convert string to float: 'heavy'"),
+    @pytest.mark.parametrize("text, message, line", [
+        ("weight\n0.5\n", "weights file must start with header 'w'", ""),
+        ("w\n0.5\nheavy\n", "could not convert string to float: 'heavy'", ":3"),
     ])
     def test_bad_weights_file_is_config_error(self, tmp_path, capsys, dynamics,
-                                              text, message):
+                                              text, message, line):
         X = np.random.default_rng(0).uniform(-1, 1, size=(20, 2))
         snaps, weights = tmp_path / "snaps.csv", tmp_path / "weights.csv"
         write_snapshots(snaps, X, dynamics(X))
@@ -484,7 +486,7 @@ class TestProximityCommand:
                              "weights_path": str(weights)}
         assert run(["proximity", "--config", write_config(tmp_path, config),
                     "--out", tmp_path / "out"]) == 2
-        assert f"configuration error: {weights}: {message}" in capsys.readouterr().err
+        assert f"configuration error: {weights}{line}: {message}" in capsys.readouterr().err
 
     def test_snapshot_dimension_must_match_the_config(self, tmp_path, capsys):
         X = np.random.default_rng(0).uniform(-1, 1, size=(20, 3))
@@ -497,6 +499,41 @@ class TestProximityCommand:
                     "--out", tmp_path / "out"]) == 2
         assert ("configuration error: snapshots have dimension 3, config says 2"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("case", ["truncated json", "quad order 0", "short dynamics",
+                                      "bad dynamics", "reversed interval", "nan snapshot",
+                                      "odd header"])
+    def test_documented_config_errors(self, tmp_path, capsys, case):
+        config = base_config(DICTIONARIES["S2"])
+        flags = ["--quad-order", 0] if case == "quad order 0" else []
+        snaps = tmp_path / "snaps.csv"
+        if case == "short dynamics":
+            config["dynamics"] = ["0.9*x1"]
+        elif case == "bad dynamics":
+            config["dynamics"] = ["0.9*x1", "x2 $ 2"]
+        elif case == "reversed interval":
+            config["domain"] = [[1.0, -1.0], [-1.0, 1.0]]
+        elif case in ("nan snapshot", "odd header"):
+            snaps.write_text("x1,x2,y1,y2\n0.1,0.2,0.3,0.4\n0.5,nan,0.6,0.7\n"
+                             if case == "nan snapshot" else "x1,x2,y1\n0.1,0.2,0.3\n")
+            del config["dynamics"]
+            config["backend"] = {"type": "empirical", "snapshot_path": str(snaps)}
+        path = write_config(tmp_path, config)
+        if case == "truncated json":
+            Path(path).write_text('{"state_dim": 2,')
+        message = {
+            "truncated json": f"{path}:1:17: Expecting property name enclosed in double quotes",
+            "quad order 0": "--quad-order must be positive",
+            "short dynamics": "dynamics must list one expression per state dimension",
+            "bad dynamics": "dynamics expression: unexpected character '$' (at position 3)",
+            "reversed interval": "invalid interval [1.0, -1.0]",
+            "nan snapshot": "snapshots must be finite",
+            "odd header": f"{snaps}: header must list x1..xn,y1..yn",
+        }[case]
+        out = tmp_path / "out"
+        assert run(["proximity", "--config", path, "--out", out, *flags]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
 
     def test_quadrature_backend_requires_dynamics(self, tmp_path, capsys):
         config = base_config(DICTIONARIES["S2"])
@@ -723,11 +760,13 @@ class TestPredictCommand:
                   "experiment": {"n_trajectories": 3, "horizon": 4000, "sampling_seed": 0}}
         out = tmp_path / "out"
         start = time.perf_counter()
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():  # no numpy warning may precede the message
+            warnings.simplefilter("error")
             assert run(["predict", "--config", write_config(tmp_path, config),
                         "--out", out]) == 3
         assert time.perf_counter() - start < 2.0
         err = capsys.readouterr().err
+        assert err.startswith("numerical failure: NonFiniteValue: percent error at step 1523 ")
         assert "NonFiniteValue: percent error at step 1523 of the trajectory from [" in err
         assert not out.exists()
 
@@ -815,6 +854,21 @@ class TestOracleCommand:
                     "--out", tmp_path, "--seed", str(seed)]) == 0
         payload = json.loads((tmp_path / "oracle.json").read_text())
         assert payload["oracle_max"] <= payload["closed_form"] + 1e-8
+
+    def test_oracle_above_the_closed_form_is_internal_failure(self, tmp_path, capsys,
+                                                               monkeypatch):
+        oracle = cli.proximity_oracle
+
+        def inflated(analysis, **kwargs):
+            result = oracle(analysis, **kwargs)
+            return dataclasses.replace(result, max_error=analysis.proximity + 1e-6)
+
+        monkeypatch.setattr(cli, "proximity_oracle", inflated)
+        assert run(["oracle", "--config", CONFIGS_DIR / "s2.json", "--out", tmp_path]) == 4
+        assert ("internal consistency failure: sampled error exceeds the closed form"
+                in capsys.readouterr().err)
+        payload = json.loads((tmp_path / "oracle.json").read_text())
+        assert payload["oracle_max"] == payload["closed_form"] + 1e-6
 
 
 class TestResidualsCommand:

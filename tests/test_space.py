@@ -20,7 +20,7 @@ from invprox import (
 )
 
 from invprox import space as space_module
-from invprox.space import _AtomProgram
+from invprox.space import _AtomProgram, read_weights
 
 from conftest import DYNAMICS_SOURCES, gauss_legendre_2d, snapshot_atoms, sweep_atoms
 
@@ -524,6 +524,7 @@ class TestSnapshotCSV:
         ("1,2,3,4\n#x\n", ":3: expected 4 fields, got 1"),      # '#' starts no comment
         ("1,2,3,4 # c\n", ":2: could not convert string to float: '4 # c'"),
         ("1,2,3,4\n   \n", ":3: expected 4 fields, got 1"),     # whitespace-only line
+        ('"1\n",2,3,4\n5,6,7,x\n', ":4: could not convert string to float: 'x'"),
         ("", ": no snapshot rows"),                              # header only
         (None, ": empty snapshot file"),
     ])
@@ -541,3 +542,33 @@ class TestSnapshotCSV:
         for got, want in ((X, rows[:, :2]), (Y, rows[:, 2:])):
             assert got.dtype == np.float64 and got.flags.c_contiguous
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+    def test_plain_text_under_a_compressed_suffix(self, tmp_path, suffix):
+        # numpy picks a decompressor by the suffix; the file is read as text
+        path = tmp_path / f"snaps.csv{suffix}"
+        path.write_text("x1,y1\n0.5,0.25\n")
+        X, Y = read_snapshots(path)
+        assert X.tolist() == [[0.5]] and Y.tolist() == [[0.25]]
+
+    @pytest.mark.parametrize("text, expected", [
+        ("w\n0.5\n\n0.25\n", [0.5, 0.25]),                        # blank line
+        ('w\n"0.5"\n', [0.5]),                                    # quoted cell
+        ("w\n0.5,0.25\n", ":2: expected 1 fields, got 2"),        # two fields
+        ("w\n0.5\nheavy\n", ":3: could not convert string to float: 'heavy'"),
+        ("w\n", ": no snapshot rows"),                            # header only
+        ("", ": weights file must start with header 'w'"),
+        ("\nw\n0.5\n", ": weights file must start with header 'w'"),  # leading blank
+        ("w,w\n0.5\n", ": weights file must start with header 'w'"),
+    ])
+    def test_weights_reader_edge_cases(self, tmp_path, text, expected):
+        path = tmp_path / "weights.csv"
+        path.write_text(text, newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(expected, str):
+                with pytest.raises(ValueError, match=re.escape(f"{path}{expected}")):
+                    read_weights(path)
+                return
+            weights = read_weights(path)
+        assert weights.dtype == np.float64 and np.array_equal(weights, expected)
