@@ -39,7 +39,6 @@ from .koopman import (
     InconsistentSystem,
     InvarianceAnalysis,
     ZeroImage,
-    build_model,
     proximity_oracle,
     trajectory_errors,
 )
@@ -414,11 +413,11 @@ def cmd_predict(config, out_dir):
                           f"{MAX_PREDICT_VALUES} allowed")
     space, atoms, dynamics = _prepare(config, need_dynamics=True)
     model_dynamics = None if isinstance(space, EmpiricalSpace) else dynamics
-    model = build_model(atoms, space, model_dynamics, rank_tol=config["tolerances"]["rank_tol"])
+    analysis = _analysis(config, space, atoms, model_dynamics)
     domain = Domain(tuple(tuple(b) for b in config["domain"]))
     rng = np.random.default_rng(seed)
     starts = domain.sample(rng, experiment["n_trajectories"])
-    errors, kept = trajectory_errors(model, dynamics, starts, horizon)
+    errors, kept = trajectory_errors(analysis.model, dynamics, starts, horizon)
     excluded = int(np.count_nonzero(~kept))
     if excluded:
         print(f"warning: excluded {excluded} trajectories with vanishing "
@@ -435,7 +434,8 @@ def cmd_predict(config, out_dir):
         csv_path,
         header,
         rows,
-        comments=[f"seed={seed}", f"n_trajectories={len(errors)}", f"excluded={excluded}"],
+        comments=[f"seed={seed}", f"n_trajectories={len(errors)}", f"excluded={excluded}",
+                  *(f"warning: {w}" for w in analysis.warnings)],
     )
     json_path = out_dir / "predict.json"
     write_json(json_path, {
@@ -444,6 +444,7 @@ def cmd_predict(config, out_dir):
         "excluded": excluded,
         "horizon": horizon,
         "steps": steps,
+        "warnings": analysis.warnings,
     })
     print(f"wrote {csv_path} and {json_path}")
     return EXIT_OK
@@ -463,6 +464,7 @@ def cmd_oracle(config, out_dir):
         "argmax_coeffs": list(map(float, result.argmax_coeffs)),
         "n_samples": result.n_samples,
         "n_excluded": result.n_excluded,
+        "warnings": analysis.warnings,
     }
     path = out_dir / "oracle.json"
     write_json(path, payload)
@@ -490,7 +492,8 @@ def cmd_residuals(config, out_dir):
         if res > bound + 1e-8:
             violations += 1
     path = out_dir / "residuals.csv"
-    write_csv(path, ["lambda_re", "lambda_im", "residual", "bound"], rows)
+    write_csv(path, ["lambda_re", "lambda_im", "residual", "bound"], rows,
+              comments=[f"warning: {w}" for w in analysis.warnings])
     if violations:
         print(f"warning: {violations} residuals exceed the bound", file=sys.stderr)
     print(f"wrote {path}")

@@ -30,6 +30,7 @@ Three operations build on this:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +40,7 @@ __all__ = [
     "SubspaceBasis",
     "Isomorphism",
     "PrincipalDecomposition",
+    "Verdict",
     "orthonormalize",
     "build_isomorphism",
     "principal_angles",
@@ -98,10 +100,10 @@ def _unit_factors(values):
 
 
 def _lead_factors(vectors):
-    """Unit factor per column (or of a 1-d vector) that makes its largest-magnitude
-    entry real and positive: the sign rule of every basis and reported vector."""
-    leads = np.take_along_axis(vectors, np.argmax(np.abs(vectors), axis=0)[None], axis=0)
-    return _unit_factors(leads[0])
+    """Unit factor per column that makes its largest-magnitude entry real and
+    positive: the sign rule of every basis and reported vector."""
+    leads = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    return _unit_factors(leads)
 
 
 def orthonormalize(gram, rank_tol=DEFAULT_RANK_TOL):
@@ -249,3 +251,45 @@ def principal_angles(qu, qv):
 def _fix_phases(u_vectors, v_vectors):
     """Scale each u_i by a unit factor so <u_i, v_i> is real nonnegative."""
     return u_vectors * _unit_factors(np.sum(v_vectors.conj() * u_vectors, axis=0))
+
+
+class Verdict(NamedTuple):
+    """What ``_spans`` reads off a factor; it depends on the spans alone."""
+
+    dim_s: int
+    dim_ks: int
+    proximity: float
+    dim_w: int
+
+
+def _span_basis(coords, rank_tol):
+    """``(q, basis)`` with ``q = coords @ basis`` orthonormal, spanning the
+    columns of ``coords``: one column per singular value above ``rank_tol``
+    times the largest (none may clear it), by descending singular value, each
+    signed by ``_lead_factors`` of its ``basis`` column."""
+    u, sigma, vt = np.linalg.svd(coords, full_matrices=False)
+    rank = int(np.count_nonzero(sigma > rank_tol * sigma[0]))
+    v = vt[:rank].T
+    signs = _lead_factors(v)
+    return u[:, :rank] * signs, v * signs / sigma[:rank]
+
+
+def _spans(factor, rank_tol, quad_tol):
+    """``((q, basis), (q_image, image_basis), decomposition, verdict)`` of a
+    factor whose two column blocks are the coordinates of the atoms and of
+    their images: ``_span_basis`` of each block, their principal decomposition
+    (None if a block spans nothing) and :class:`Verdict`. The proximity is the
+    top sine from S to K(S), 1.0 if dim K(S) > dim S (K(S) then holds a
+    direction orthogonal to S), nan if a block spans nothing; dim W is dim S +
+    dim K(S) less the sines below ``quad_tol`` (zero angles span S ∩ K(S))."""
+    m = factor.shape[1] // 2
+    spans = [_span_basis(factor[:, :m], rank_tol), _span_basis(factor[:, m:], rank_tol)]
+    (q, _), (q_image, _) = spans
+    dim_s, dim_ks = q.shape[1], q_image.shape[1]
+    if not (dim_s and dim_ks):
+        return (*spans, None, Verdict(dim_s, dim_ks, np.nan, dim_s + dim_ks))
+    decomposition = principal_angles(q, q_image)
+    angles = decomposition.angles
+    proximity = 1.0 if decomposition.swapped else float(np.sin(angles[-1]))
+    dim_w = dim_s + dim_ks - int(np.sum(np.sin(angles) < quad_tol))
+    return (*spans, decomposition, Verdict(dim_s, dim_ks, proximity, dim_w))

@@ -11,21 +11,18 @@ eigenvectors of K.
 
 All geometric quantities live in coordinates on W = S + K(S): column j of
 the QR factor R of the weighted evaluations sqrt(w) * [Psi, K Psi] holds
-isometric coordinates of generator j. ``_spans`` turns R into orthonormal
-bases of S and K(S), from SVDs of its two column blocks, and their principal
-angles, so no Gram matrix is formed and the condition number is not squared.
+isometric coordinates of generator j. ``geometry._spans`` turns R into
+orthonormal bases of S and K(S), from SVDs of its two column blocks, their
+principal angles and their verdict (dim S, dim K(S), the proximity and
+dim W), so no Gram matrix is formed and the condition number is not squared.
 The worst-case relative projection error of the model over S equals the sine
 of the largest principal angle between those bases (Bjorck & Golub), and a
 maximizing witness function is any preimage of the top principal vector on
-the image side. The principal vectors at zero angle span S ∩ K(S), so
-dim W = dim S + dim K(S) less the sines below ``quad_tol``: like the
-proximity, it depends on the spans alone.
+the image side.
 
-A quadrature analysis always checks its rule: ``_spans`` recomputes dim S,
-dim K(S) and the proximity from the factor of the coarser rule of order
-ceil(q/2), and the analysis warns if a dimension differs or the proximity
-moves by ``quad_tol``. All three depend on the spans alone, so two bases of
-one span get the same verdict.
+Every analysis hands its verdict to the backend's ``check``, which compares
+it with one of its own (a quadrature rule: with the verdict of the coarser
+rule of order ceil(q/2)); the analysis warns with the message it returns.
 """
 
 from __future__ import annotations
@@ -36,8 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import DegenerateSpace, SubspaceBasis, _lead_factors, principal_angles
-from .space import NonFiniteValue, QuadratureSpace, _AtomProgram
+from .geometry import DegenerateSpace, SubspaceBasis, _lead_factors, _spans
+from .space import NonFiniteValue, _AtomProgram
 
 __all__ = [
     "InconsistentSystem",
@@ -129,20 +126,6 @@ class KoopmanModel:
         """Orthonormal basis functions evaluated at points, shape (m, dim)."""
         return self._program.values(points).T @ self.basis
 
-    def predict_coeffs(self, coeffs, steps=1):
-        """Coefficients of the predicted image after ``steps`` applications.
-
-        Exact coefficient arithmetic, hence linear: predicting a combination
-        equals the combination of predictions.
-        """
-        v = np.asarray(coeffs, dtype=float).reshape(-1)
-        for _ in range(steps):
-            v = self.k_approx.T @ v
-        return v
-
-    def basis_function(self, j):
-        return FunctionVec(self.basis[:, j], self.atoms)
-
 
 @dataclass(frozen=True)
 class ProximityReport:
@@ -184,11 +167,13 @@ class InvarianceAnalysis:
     Construction runs the whole geometric pipeline: factor the weighted
     evaluations into R (``space.koopman_factor``), take orthonormal bases of
     S and K(S) from SVDs of its two column blocks, ranks counting singular
-    values above ``rank_tol`` times the largest, and compute the principal
-    decomposition. dim W is dim S + dim K(S) less the angles whose sine is
-    below ``quad_tol``, the sine to which the run certifies the proximity.
+    values above ``rank_tol`` times the largest, compute the principal
+    decomposition and the verdict (``geometry._spans``), and let the backend
+    check the verdict. dim W is dim S + dim K(S) less the angles whose sine
+    is below ``quad_tol``, the sine to which the run certifies the proximity.
     The rest (witness, relative errors, eigenpair residuals, restricted
-    operator norm) is linear algebra on the stored coordinate matrices.
+    operator norm, the model) is linear algebra on the stored coordinate
+    matrices.
     Instances are immutable in practice; methods have no side effects
     beyond caching.
     """
@@ -203,7 +188,6 @@ class InvarianceAnalysis:
     ):
         self.atoms = tuple(atoms)
         self.space = space
-        self.dynamics = dynamics
         self.rank_tol = float(rank_tol)
         self.quad_tol = float(quad_tol)
         self._warnings: list[str] = []
@@ -211,9 +195,10 @@ class InvarianceAnalysis:
         program = _AtomProgram(self.atoms)  # compiled once, for the check too
         factor = space.koopman_factor(program, dynamics)
         # coordinates of each raw atom, and of its operator image
-        self.dict_coords, self.image_map = np.hsplit(factor, 2)
-        (q, self.dictionary_basis), (self.q_image, self.image_basis), self.decomposition = (
-            _spans(factor, self.rank_tol))
+        m = len(self.atoms)
+        self.dict_coords, self.image_map = factor[:, :m], factor[:, m:]
+        ((q, self.dictionary_basis), (self.q_image, self.image_basis), self.decomposition,
+         self.verdict) = _spans(factor, self.rank_tol, self.quad_tol)
         if self.decomposition is None:
             block = "image block K(S)" if self.dictionary_basis.shape[1] else "dictionary block S"
             raise DegenerateSpace(f"no singular value above the rank tolerance in the {block}")
@@ -224,60 +209,35 @@ class InvarianceAnalysis:
                 "numerical rank of the image exceeds the rank of the "
                 "subspace; tighten rank_tol or rescale the dictionary"
             )
-        self.dim_s, self.dim_ks = q.shape[1], self.q_image.shape[1]
+        self.dim_s, self.dim_ks, self.proximity, self.dim_w = self.verdict
         self.q_s = SubspaceBasis(q)
+        self.angles = self.decomposition.angles
 
         # coordinates of the operator image of each orthonormal basis function
         self.basis_image_map = self.image_map @ self.dictionary_basis
         self.k_approx = self.basis_image_map.T @ q
 
-        self.angles = self.decomposition.angles
-        self.proximity = float(np.sin(self.angles[-1]))
-        self.dim_w = self.dim_s + self.dim_ks - int(np.sum(np.sin(self.angles) < self.quad_tol))
-
-        if isinstance(space, QuadratureSpace):
-            self._check_quadrature(program)
+        message = space.check(program, dynamics, self.verdict, self.rank_tol, self.quad_tol)
+        if message is not None:
+            warnings.warn(message, stacklevel=2)
+            self._warnings.append(message)
 
     # -- diagnostics ----------------------------------------------------------
 
-    def _check_quadrature(self, program):
-        """Recompute dim S, dim K(S) and the proximity at order ceil(q/2)
-        (order 1: at 2); warn if a dimension differs or the proximity moves by
-        ``quad_tol`` or more. If the coarser rule agrees, the base rule has
-        converged."""
-        check = self.space.check_rule()
-        (q, _), (q_image, _), decomposition = _spans(
-            check.koopman_factor(program, self.dynamics), self.rank_tol)
-        dim_s, dim_ks = q.shape[1], q_image.shape[1]
-        # the top sine from S to K(S), as in the analysis; 1 if K(S) has the
-        # higher rank, since then it holds a direction orthogonal to S
-        proximity = (np.nan if decomposition is None else 1.0 if decomposition.swapped
-                     else np.sin(decomposition.angles[-1]))
-        drift = abs(proximity - self.proximity)
-        if (dim_s, dim_ks) != (self.dim_s, self.dim_ks) or drift >= self.quad_tol:
-            message = (
-                f"quadrature order {self.space.order} not converged: proximity changes "
-                f"by {drift:.3e}, dim S {self.dim_s} -> {dim_s}, dim K(S) "
-                f"{self.dim_ks} -> {dim_ks} at order {check.order}"
-            )
-            warnings.warn(message, stacklevel=3)
-            self._warnings.append(message)
+    @property
+    def warnings(self):
+        """The warnings so far: the backend's check, then the witness's."""
+        return list(self._warnings)
 
     def diagnostics(self):
         _, witness = self._witness  # first: its check may add a warning
-        diag = {
-            "rank_tol": self.rank_tol,
-            "quad_tol": self.quad_tol,
-            "warnings": list(self._warnings),
-        }
-        if isinstance(self.space, QuadratureSpace):
-            diag["backend"] = "quadrature"
-            diag["quad_order"] = self.space.order
-        else:
-            diag["backend"] = "empirical"
-            diag["n_snapshots"] = int(self.space.n_snapshots)
-        diag.update(witness)
-        return diag
+        return {"rank_tol": self.rank_tol, "quad_tol": self.quad_tol,
+                "warnings": self.warnings, **self.space.diagnostics(), **witness}
+
+    @cached_property
+    def model(self):
+        """The projected-operator model on the orthonormal dictionary basis."""
+        return KoopmanModel(self.atoms, self.k_approx, self.dictionary_basis)
 
     # -- derived quantities -----------------------------------------------------
 
@@ -325,7 +285,7 @@ class InvarianceAnalysis:
             warnings.warn(message, stacklevel=4)  # the caller of witness() or diagnostics()
             self._warnings.append(message)
         diag = {"witness_solve_residual": solve_residual, "witness_relative_error": error}
-        return coeffs * _lead_factors(coeffs), diag
+        return coeffs * _lead_factors(coeffs[:, None]), diag
 
     def witness(self):
         """A function in S attaining the worst-case relative error.
@@ -382,44 +342,10 @@ class InvarianceAnalysis:
         )
 
 
-def _span_basis(coords, rank_tol):
-    """``(q, basis)`` with ``q = coords @ basis`` orthonormal, spanning the
-    columns of ``coords``: one column per singular value above ``rank_tol``
-    times the largest (none may clear it), by descending singular value, each
-    signed so that the largest-magnitude entry of its ``basis`` column is
-    positive (``geometry._lead_factors``)."""
-    u, sigma, vt = np.linalg.svd(coords, full_matrices=False)
-    rank = int(np.count_nonzero(sigma > rank_tol * sigma[0]))
-    v = vt[:rank].T
-    signs = _lead_factors(v)
-    return u[:, :rank] * signs, v * signs / sigma[:rank]
-
-
-def _spans(factor, rank_tol):
-    """``((q, basis), (q_image, image_basis), decomposition)`` of a factor
-    whose two column blocks are the coordinates of the atoms and of their
-    images: ``_span_basis`` of each block and the principal decomposition of
-    the two spans, or ``None`` in its place if either block spans nothing."""
-    spans = [_span_basis(block, rank_tol) for block in np.hsplit(factor, 2)]
-    (q, _), (q_image, _) = spans
-    return (*spans, principal_angles(q, q_image) if q.shape[1] and q_image.shape[1] else None)
-
-
 def build_model(atoms, space, dynamics=None, rank_tol=DEFAULT_RANK_TOL):
-    """Projected-operator model on span(atoms).
-
-    Orthonormalizes the dictionary and fills the model matrix with inner
-    products of operator images against the orthonormal basis. Works with a
-    quadrature backend plus dynamics map, or an empirical backend alone.
-    """
-    atoms = tuple(atoms)
-    factor = space.koopman_factor(atoms, dynamics)
-    m = len(atoms)
-    q, basis = _span_basis(factor[:, :m], rank_tol)
-    if not basis.shape[1]:
-        raise DegenerateSpace(
-            "no singular value above the rank tolerance in the dictionary block S")
-    return KoopmanModel(atoms=atoms, k_approx=(factor[:, m:] @ basis).T @ q, basis=basis)
+    """The ``model`` of :class:`InvarianceAnalysis`: a quadrature backend
+    needs the dynamics map, an empirical backend none."""
+    return InvarianceAnalysis(atoms, space, dynamics, rank_tol=rank_tol).model
 
 
 def invariance_proximity(
@@ -496,7 +422,7 @@ def proximity_oracle(analysis, n_samples=10000, seed=0):
     argmax_coeffs = analysis.dictionary_basis @ best
     return OracleResult(
         max_error=float(best_error),
-        argmax_coeffs=argmax_coeffs * _lead_factors(argmax_coeffs),
+        argmax_coeffs=argmax_coeffs * _lead_factors(argmax_coeffs[:, None]),
         n_samples=n_samples,
         n_excluded=n_excluded,
     )
@@ -553,9 +479,10 @@ def _simulate(model, dynamics, starts, horizon):
         with np.errstate(over="ignore", invalid="ignore"):  # checked just below
             truth_norm = np.linalg.norm(truth, axis=1)
             gone = truth_norm < 1e-14
-            vanished[live[gone]] = k
-            live, state, prediction, truth, truth_norm = (
-                a[~gone] for a in (live, state, prediction, truth, truth_norm))
+            if gone.any():  # filtering costs a copy of each array per step
+                vanished[live[gone]] = k
+                live, state, prediction, truth, truth_norm = (
+                    a[~gone] for a in (live, state, prediction, truth, truth_norm))
             step = errors[live, k - 1] = (100.0 * np.linalg.norm(truth - prediction, axis=1)
                                           / truth_norm)
         if not np.isfinite(step).all():

@@ -22,7 +22,8 @@ evaluate all nodes into one atom-major array and sum each Gram entry ``w *
 (v_i * v_j)`` along its row, so repeated runs are bit-stable. An
 empirical backend never needs the dynamics map: the image of a dictionary
 function under composition with T is obtained by evaluating the function at
-the successor snapshots.
+the successor snapshots. Each backend's ``check`` judges an analysis's
+verdict (a warning message or None); ``diagnostics`` describes the backend.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .expr import Expr, compile as compile_exprs
+from .geometry import _spans
 
 __all__ = [
     "NonFiniteValue",
@@ -350,6 +352,22 @@ class QuadratureSpace(_InnerProductBackend):
         """The quadrature check's rule: order ceil(q/2), or 2 at order 1."""
         return self.refined(0.5 if self.order > 1 else 2)
 
+    def check(self, program, dynamics, verdict, rank_tol, quad_tol):
+        """A warning message if the verdict of ``check_rule()`` differs from
+        this rule's ``verdict`` in dim S or dim K(S) (dim W is not compared),
+        or in the proximity by ``quad_tol`` or more; else None."""
+        check = self.check_rule()
+        coarse = _spans(check.koopman_factor(program, dynamics), rank_tol, quad_tol)[-1]
+        drift = abs(coarse.proximity - verdict.proximity)
+        if (coarse.dim_s, coarse.dim_ks) != (verdict.dim_s, verdict.dim_ks) or drift >= quad_tol:
+            return (f"quadrature order {self.order} not converged: proximity changes by "
+                    f"{drift:.3e}, dim S {verdict.dim_s} -> {coarse.dim_s}, dim K(S) "
+                    f"{verdict.dim_ks} -> {coarse.dim_ks} at order {check.order}")
+        return None
+
+    def diagnostics(self):
+        return {"backend": "quadrature", "quad_order": self.order}
+
     def _blocks(self, rows, dynamics):
         if dynamics is None:
             raise ValueError("quadrature backend needs the dynamics map to form K Psi")
@@ -394,6 +412,13 @@ class EmpiricalSpace(_InnerProductBackend):
     @property
     def n_snapshots(self):
         return self.snapshots_x.shape[0]
+
+    def check(self, program, dynamics, verdict, rank_tol, quad_tol):
+        """No convergence check on snapshots: None."""
+        return None
+
+    def diagnostics(self):
+        return {"backend": "empirical", "n_snapshots": int(self.n_snapshots)}
 
     def _blocks(self, rows, dynamics):
         if dynamics is not None:

@@ -760,15 +760,33 @@ class TestPredictCommand:
                   "experiment": {"n_trajectories": 3, "horizon": 4000, "sampling_seed": 0}}
         out = tmp_path / "out"
         start = time.perf_counter()
-        with warnings.catch_warnings():  # no numpy warning may precede the message
-            warnings.simplefilter("error")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            # no numpy warning may precede the message
+            warnings.simplefilter("error", RuntimeWarning)
             assert run(["predict", "--config", write_config(tmp_path, config),
                         "--out", out]) == 3
         assert time.perf_counter() - start < 2.0
+        # the bump is not resolved at order 40 either: its check warns first
+        assert [str(w.message) for w in caught] == [
+            "quadrature order 40 not converged: proximity changes by 2.398e-02, "
+            "dim S 1 -> 1, dim K(S) 1 -> 1 at order 20"]
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: NonFiniteValue: percent error at step 1523 ")
         assert "NonFiniteValue: percent error at step 1523 of the trajectory from [" in err
         assert not out.exists()
+
+    def test_zero_image_is_numerical_failure(self, tmp_path, capsys):
+        # the model comes from the analysis, which refuses an empty image
+        # block; a model built on its own excluded all 100 trajectories
+        config = {"state_dim": 1, "domain": [[-1.0, 1.0]],
+                  "backend": {"type": "quadrature", "order": 20},
+                  "dynamics": ["0*x1"], "dictionary": ["x1"]}
+        assert run(["predict", "--config", write_config(tmp_path, config),
+                    "--out", tmp_path / "out"]) == 3
+        assert capsys.readouterr().err.strip().endswith(
+            "DegenerateSpace: no singular value above the rank tolerance in the image block K(S)")
+        assert not (tmp_path / "out").exists()
 
     def test_expression_calls_are_batched(self, tmp_path, monkeypatch):
         # one call per atom or dynamics component and step for all
@@ -904,6 +922,30 @@ class TestResidualsCommand:
             _, _, residual, bound = map(float, row.split(","))
             assert np.isfinite(residual)
             assert residual <= bound + 1e-8
+
+
+@pytest.mark.parametrize("command", ["proximity", "oracle", "predict", "residuals"])
+def test_unconverged_rule_warns_in_every_output(tmp_path, command):
+    # order 2 is checked at order 1, where S3 spans less; predict built its
+    # model without the check and neither warned nor recorded it
+    with pytest.warns(UserWarning) as caught:
+        assert run([command, "--config", CONFIGS_DIR / "s3.json", "--out", tmp_path,
+                    "--quad-order", 2]) == 0
+    messages = [str(w.message) for w in caught]
+    assert messages and all(m.startswith("quadrature order 2 not converged: ") for m in messages)
+    json_name, csv_name = {"proximity": ("proximity.json", None),
+                           "oracle": ("oracle.json", None),
+                           "predict": ("predict.json", "predict.csv"),
+                           "residuals": (None, "residuals.csv")}[command]
+    if json_name:
+        payload = json.loads((tmp_path / json_name).read_text())
+        recorded = (payload["diagnostics"] if command == "proximity" else payload)["warnings"]
+        assert recorded == messages
+        assert list(payload)[-1] == ("diagnostics" if command == "proximity" else "warnings")
+    if csv_name:
+        lines = (tmp_path / csv_name).read_text().splitlines()
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        assert lines[header - len(messages):header] == [f"# warning: {m}" for m in messages]
 
 
 needs_blas_pin = pytest.mark.skipif(cli._blas_thread_setter() is None,

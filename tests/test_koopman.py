@@ -31,7 +31,7 @@ from invprox import (
     trajectory_errors,
 )
 
-from invprox import expr, koopman
+from invprox import expr, geometry, koopman
 from invprox.space import _AtomProgram, _atom_label
 
 from conftest import DYNAMICS_SOURCES, gauss_legendre_2d, sweep_atoms
@@ -125,28 +125,12 @@ class TestBuildModel:
 
     def test_entries_recomputable_as_inner_products(self, quad, dynamics):
         model = build_model(_atoms("1", "x1", "x2", "x1^2"), quad, dynamics)
+        basis = [FunctionVec(model.basis[:, i], model.atoms) for i in range(model.dim)]
         for i in range(model.dim):
-            image_i = compose_with_map(model.basis_function(i), dynamics)
+            image_i = compose_with_map(basis[i], dynamics)
             for j in range(model.dim):
-                value = quad.inner_product(image_i, model.basis_function(j))
+                value = quad.inner_product(image_i, basis[j])
                 assert abs(model.k_approx[i, j] - value) < 1e-10
-
-    def test_prediction_is_linear(self, quad, dynamics):
-        model = build_model(_atoms("1", "x1", "x2", "x1^2"), quad, dynamics)
-        # power-of-two weights on basis vectors: all arithmetic is exact,
-        # so linearity holds bit for bit
-        g = np.eye(model.dim)[0]
-        h = np.eye(model.dim)[2]
-        alpha, beta = 2.0, -0.5
-        combined = model.predict_coeffs(alpha * g + beta * h)
-        split = alpha * model.predict_coeffs(g) + beta * model.predict_coeffs(h)
-        assert np.array_equal(combined, split)
-        # general combinations agree to rounding error
-        rng = np.random.default_rng(0)
-        g, h = rng.standard_normal((2, model.dim))
-        combined = model.predict_coeffs(0.7 * g - 2.5 * h)
-        split = 0.7 * model.predict_coeffs(g) - 2.5 * model.predict_coeffs(h)
-        assert np.max(np.abs(combined - split)) < 1e-14 * np.max(np.abs(split))
 
     def test_degenerate_dictionary(self, quad, dynamics):
         with pytest.raises(DegenerateSpace):
@@ -259,7 +243,7 @@ class TestWitness:
             v_vectors[:, -1] = np.linalg.qr(qv, mode="complete")[0][:, -1]
             return dataclasses.replace(decomposition, v_vectors=v_vectors)
 
-        monkeypatch.setattr(koopman, "principal_angles", off_the_image)
+        monkeypatch.setattr(geometry, "principal_angles", off_the_image)
         analysis = InvarianceAnalysis(dictionaries["S2"], quad, dynamics)
         with pytest.raises(InconsistentSystem, match="backward error 1.000e[+]00 exceeds 1e-8"):
             analysis.witness()
