@@ -38,7 +38,6 @@ from .koopman import (
     DEFAULT_RANK_TOL,
     InconsistentSystem,
     InvarianceAnalysis,
-    ZeroImage,
     proximity_oracle,
     trajectory_errors,
 )
@@ -589,8 +588,7 @@ def main(argv=None):
     except (ConfigError, ParseError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DegenerateSpace, NonFiniteValue, InconsistentSystem, ZeroImage,
-            np.linalg.LinAlgError) as exc:
+    except (DegenerateSpace, NonFiniteValue, InconsistentSystem, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     finally:

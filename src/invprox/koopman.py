@@ -18,7 +18,7 @@ dim W), so no Gram matrix is formed and the condition number is not squared.
 The worst-case relative projection error of the model over S equals the sine
 of the largest principal angle between those bases (Bjorck & Golub), and a
 maximizing witness function is any preimage of the top principal vector on
-the image side.
+the image side; its relative error is read off that unit vector.
 
 Every analysis hands its verdict to the backend's ``check``, which compares
 it with one of its own (a quadrature rule: with the verdict of the coarser
@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import DegenerateSpace, SubspaceBasis, _lead_factors, _spans
+from .geometry import DegenerateSpace, _lead_factors, _spans
 from .space import NonFiniteValue, _AtomProgram
 
 __all__ = [
@@ -168,12 +168,14 @@ class InvarianceAnalysis:
     evaluations into R (``space.koopman_factor``), take orthonormal bases of
     S and K(S) from SVDs of its two column blocks, ranks counting singular
     values above ``rank_tol`` times the largest, compute the principal
-    decomposition and the verdict (``geometry._spans``), and let the backend
-    check the verdict. dim W is dim S + dim K(S) less the angles whose sine
-    is below ``quad_tol``, the sine to which the run certifies the proximity.
-    The rest (witness, relative errors, eigenpair residuals, restricted
-    operator norm, the model) is linear algebra on the stored coordinate
-    matrices.
+    decomposition and the verdict (``geometry._spans``), let the backend
+    check the verdict, and build the witness. ``q_s`` is the orthonormal
+    basis of S in these coordinates. dim W is dim S + dim K(S) less the
+    angles whose sine is below ``quad_tol``, the sine to which the run
+    certifies the proximity. ``warnings`` lists the check's warning, then
+    the witness's. The rest (relative errors, eigenpair residuals,
+    restricted operator norm, the model) is linear algebra on the stored
+    coordinate matrices.
     Instances are immutable in practice; methods have no side effects
     beyond caching.
     """
@@ -190,14 +192,13 @@ class InvarianceAnalysis:
         self.space = space
         self.rank_tol = float(rank_tol)
         self.quad_tol = float(quad_tol)
-        self._warnings: list[str] = []
 
         program = _AtomProgram(self.atoms)  # compiled once, for the check too
         factor = space.koopman_factor(program, dynamics)
         # coordinates of each raw atom, and of its operator image
         m = len(self.atoms)
         self.dict_coords, self.image_map = factor[:, :m], factor[:, m:]
-        ((q, self.dictionary_basis), (self.q_image, self.image_basis), self.decomposition,
+        ((self.q_s, self.dictionary_basis), (q_image, image_basis), self.decomposition,
          self.verdict) = _spans(factor, self.rank_tol, self.quad_tol)
         if self.decomposition is None:
             block = "image block K(S)" if self.dictionary_basis.shape[1] else "dictionary block S"
@@ -210,29 +211,42 @@ class InvarianceAnalysis:
                 "subspace; tighten rank_tol or rescale the dictionary"
             )
         self.dim_s, self.dim_ks, self.proximity, self.dim_w = self.verdict
-        self.q_s = SubspaceBasis(q)
         self.angles = self.decomposition.angles
 
         # coordinates of the operator image of each orthonormal basis function
         self.basis_image_map = self.image_map @ self.dictionary_basis
-        self.k_approx = self.basis_image_map.T @ q
+        self.k_approx = self.basis_image_map.T @ self.q_s
 
         message = space.check(program, dynamics, self.verdict, self.rank_tol, self.quad_tol)
-        if message is not None:
+        self.warnings = [] if message is None else [message]
+        # The witness maps onto the unit vector ``top`` (see witness()), so
+        # its relative error is the distance of ``top`` from S.
+        top = self.decomposition.v_vectors[:, -1]
+        coeffs = image_basis @ (q_image.T @ top)
+        solve_residual = float(np.linalg.norm(self.image_map @ coeffs - top))
+        backward_error = solve_residual / (
+            np.linalg.norm(self.image_map) * np.linalg.norm(coeffs) + np.linalg.norm(top))
+        error = float(np.linalg.norm(top - self.q_s @ (self.q_s.T @ top)))
+        if backward_error <= 1e-8 and abs(error - self.proximity) > 1e-8:
+            self.warnings.append(f"witness relative error {error:.12e} deviates from the "
+                                 f"closed form {self.proximity:.12e}")
+        for message in self.warnings:  # before the guard, so a failing run shows them
             warnings.warn(message, stacklevel=2)
-            self._warnings.append(message)
+        if backward_error > 1e-8:
+            raise InconsistentSystem(
+                f"witness solve backward error {backward_error:.3e} exceeds 1e-8 "
+                f"(residual {solve_residual:.3e})"
+            )
+        self._preimage_errors = {"witness_solve_residual": solve_residual,
+                                 "witness_relative_error": error}
+        self._preimage = coeffs * _lead_factors(coeffs[:, None])
 
     # -- diagnostics ----------------------------------------------------------
 
-    @property
-    def warnings(self):
-        """The warnings so far: the backend's check, then the witness's."""
-        return list(self._warnings)
-
     def diagnostics(self):
-        _, witness = self._witness  # first: its check may add a warning
         return {"rank_tol": self.rank_tol, "quad_tol": self.quad_tol,
-                "warnings": self.warnings, **self.space.diagnostics(), **witness}
+                "warnings": list(self.warnings), **self.space.diagnostics(),
+                **self._preimage_errors}
 
     @cached_property
     def model(self):
@@ -249,8 +263,9 @@ class InvarianceAnalysis:
         """Relative projection error of the image of ``f`` onto the subspace.
 
         ``f`` is a :class:`FunctionVec` over the dictionary atoms or a bare
-        coefficient vector. Raises :class:`ZeroImage` when the operator
-        annihilates ``f``.
+        coefficient vector. Raises :class:`ZeroImage` when ``|Kf|`` is at
+        most 1e-14 times ``|f|``: the ratio is then rounding. The pipeline
+        never calls it; the witness's error is read off its unit image.
         """
         coeffs = f.coeffs if isinstance(f, FunctionVec) else np.asarray(f, dtype=float)
         image = self.image_coords(coeffs)
@@ -258,34 +273,8 @@ class InvarianceAnalysis:
         f_norm = np.linalg.norm(self.dict_coords @ coeffs.reshape(-1))
         if image_norm <= _ZERO_IMAGE_TOL * max(f_norm, 1e-300):
             raise ZeroImage("operator image has numerically zero norm")
-        q = self.q_s.coeffs
-        projection = q @ (q.T @ image)
+        projection = self.q_s @ (self.q_s.T @ image)
         return float(np.linalg.norm(image - projection) / image_norm)
-
-    @cached_property
-    def _witness(self):
-        """``(coeffs, diagnostics)`` of the witness, computed on first use by
-        :meth:`witness` or :meth:`diagnostics`."""
-        top = self.decomposition.v_vectors[:, -1]
-        coeffs = self.image_basis @ (self.q_image.T @ top)
-        solve_residual = float(np.linalg.norm(self.image_map @ coeffs - top))
-        backward_error = solve_residual / (
-            np.linalg.norm(self.image_map) * np.linalg.norm(coeffs) + np.linalg.norm(top))
-        if backward_error > 1e-8:
-            raise InconsistentSystem(
-                f"witness solve backward error {backward_error:.3e} exceeds 1e-8 "
-                f"(residual {solve_residual:.3e})"
-            )
-        error = self.relative_error(coeffs)
-        if abs(error - self.proximity) > 1e-8:
-            message = (
-                f"witness relative error {error:.12e} deviates from the "
-                f"closed form {self.proximity:.12e}"
-            )
-            warnings.warn(message, stacklevel=4)  # the caller of witness() or diagnostics()
-            self._warnings.append(message)
-        diag = {"witness_solve_residual": solve_residual, "witness_relative_error": error}
-        return coeffs * _lead_factors(coeffs[:, None]), diag
 
     def witness(self):
         """A function in S attaining the worst-case relative error.
@@ -296,11 +285,11 @@ class InvarianceAnalysis:
         preimage, because the columns of ``image_basis`` lie in the row space
         of the image map; that fixes the non-uniqueness when the operator is
         not injective on S. The sign makes the largest-magnitude coefficient
-        positive. The preimage always exists, so a normwise backward error
-        ``|Ax - b| / (|A|_F |x| + |b|)`` beyond 1e-8 signals numerical
-        breakdown and raises :class:`InconsistentSystem`.
+        positive. The constructor builds it: the preimage always exists, so a
+        normwise backward error ``|Ax - b| / (|A|_F |x| + |b|)`` beyond 1e-8
+        signals numerical breakdown and raises :class:`InconsistentSystem`.
         """
-        return FunctionVec(self._witness[0].copy(), self.atoms)
+        return FunctionVec(self._preimage.copy(), self.atoms)
 
     def restricted_norm(self):
         """Largest amplification of the operator over the subspace S.
@@ -324,7 +313,7 @@ class InvarianceAnalysis:
         keep = real | (eigenvalues.imag > 0)  # a conjugate partner is reported instead
         lams = np.where(real, eigenvalues.real, eigenvalues)[keep].astype(complex)
         v = vectors[:, keep] / np.linalg.norm(vectors[:, keep], axis=0)
-        functions = self.q_s.coeffs @ v
+        functions = self.q_s @ v
         residuals = (np.linalg.norm(self.basis_image_map @ v - functions * lams, axis=0)
                      / np.linalg.norm(functions, axis=0))
         return sorted(zip(lams.tolist(), residuals.tolist()),
@@ -392,7 +381,7 @@ def proximity_oracle(analysis, n_samples=10000, seed=0):
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     a_k = analysis.basis_image_map
-    q = analysis.q_s.coeffs
+    q = analysis.q_s
     # one product gives each image and its residual off S: the residual map
     # is the image map less its projection onto S
     maps = np.vstack([a_k, a_k - q @ (q.T @ a_k)]).T

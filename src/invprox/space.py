@@ -355,9 +355,15 @@ class QuadratureSpace(_InnerProductBackend):
     def check(self, program, dynamics, verdict, rank_tol, quad_tol):
         """A warning message if the verdict of ``check_rule()`` differs from
         this rule's ``verdict`` in dim S or dim K(S) (dim W is not compared),
-        or in the proximity by ``quad_tol`` or more; else None."""
+        or in the proximity by ``quad_tol`` or more; else None. A
+        NonFiniteValue at a node of the check rule names that rule."""
         check = self.check_rule()
-        coarse = _spans(check.koopman_factor(program, dynamics), rank_tol, quad_tol)[-1]
+        try:
+            factor = check.koopman_factor(program, dynamics)
+        except NonFiniteValue as exc:  # at a node of the check rule only
+            raise NonFiniteValue(f"{exc.label} on the order-{check.order} check rule",
+                                 exc.point, exc.value) from None
+        coarse = _spans(factor, rank_tol, quad_tol)[-1]
         drift = abs(coarse.proximity - verdict.proximity)
         if (coarse.dim_s, coarse.dim_ks) != (verdict.dim_s, verdict.dim_ks) or drift >= quad_tol:
             return (f"quadrature order {self.order} not converged: proximity changes by "

@@ -64,7 +64,7 @@ def test_criterion_2_oracle_tightness(quad, dynamics, dictionaries):
         images = analysis.basis_image_map @ samples.T
         norms = np.linalg.norm(images, axis=0)
         keep = norms > 1e-14
-        q = analysis.q_s.coeffs
+        q = analysis.q_s
         errors = np.linalg.norm(images - q @ (q.T @ images), axis=0)[keep] / norms[keep]
         ok &= bool(np.all(errors <= closed + 1e-8))
     elapsed = time.perf_counter() - start

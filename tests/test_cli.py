@@ -948,6 +948,46 @@ def test_unconverged_rule_warns_in_every_output(tmp_path, command):
         assert lines[header - len(messages):header] == [f"# warning: {m}" for m in messages]
 
 
+@pytest.mark.parametrize("dynamics, dictionary", [
+    *(pytest.param((f"{a}*x1", f"{a}*x2"), ("x1", "x1^2"), id=f"a={a}")
+      for a in ("1e-6", "1e-8", "1e-10", "1e-13", "1e-15", "1e-20")),
+    # K(S) holds only constants
+    pytest.param(("x1", "3e-33"), ("x2", "0", "1e8*x2"), id="constant-image"),
+])
+def test_one_config_one_exit_code(tmp_path, dynamics, dictionary):
+    # at the default tolerances proximity once exited 3 (ZeroImage from its
+    # witness) on every config here but a = 1e-6 and 1e-13, while oracle,
+    # residuals and predict, which never built the witness, exited 0
+    config = base_config(dictionary)
+    del config["tolerances"]
+    config["dynamics"] = list(dynamics)
+    path = write_config(tmp_path, config)
+    for command in ("proximity", "oracle", "residuals", "predict"):
+        assert run([command, "--config", path, "--out", tmp_path / command]) == 0, command
+    report = json.loads((tmp_path / "proximity" / "proximity.json").read_text())
+    proximity = report["invariance_proximity"]
+    assert abs(report["diagnostics"]["witness_relative_error"] - proximity) <= 1e-8
+    oracle = json.loads((tmp_path / "oracle" / "oracle.json").read_text())
+    assert oracle["closed_form"] == proximity
+    if dynamics[1] == "3e-33":
+        assert proximity == 1.0
+    else:  # span(x1, x1^2) is invariant under a*x
+        assert proximity <= 1e-12
+
+
+@pytest.mark.parametrize("command", ["proximity", "predict"])
+def test_non_finite_value_of_the_check_names_its_rule(tmp_path, capsys, command):
+    # the order-5 check rule has a node at 0, the order-10 rule has none
+    config = {"state_dim": 1, "domain": [[-1.0, 1.0]],
+              "backend": {"type": "quadrature", "order": 10},
+              "dynamics": ["0.9*x1"], "dictionary": ["1/x1"]}
+    assert run([command, "--config", write_config(tmp_path, config),
+                "--out", tmp_path / "out"]) == 3
+    assert capsys.readouterr().err.strip() == (
+        "numerical failure: NonFiniteValue: 1.0/x1 on the order-5 check rule is "
+        "non-finite (inf) at point [0.]")
+
+
 needs_blas_pin = pytest.mark.skipif(cli._blas_thread_setter() is None,
                                     reason="numpy's BLAS is not OpenBLAS 0.3.27 or later")
 
