@@ -35,11 +35,9 @@ from .koopman import (
     InvarianceAnalysis,
     KoopmanModel,
     OracleResult,
-    ProximityReport,
     ZeroImage,
     ZeroNorm,
     build_model,
-    invariance_proximity,
     proximity_oracle,
     trajectory_error,
     trajectory_errors,
@@ -82,11 +80,9 @@ __all__ = [
     "NotPSD",
     "FunctionVec",
     "KoopmanModel",
-    "ProximityReport",
     "OracleResult",
     "InvarianceAnalysis",
     "build_model",
-    "invariance_proximity",
     "proximity_oracle",
     "trajectory_error",
     "trajectory_errors",

@@ -377,10 +377,10 @@ def _analysis(config, space, atoms, dynamics):
 
 def cmd_proximity(config, out_dir):
     space, atoms, dynamics = _prepare(config, need_dynamics=False)
-    report = _analysis(config, space, atoms, dynamics).report()
+    analysis = _analysis(config, space, atoms, dynamics)
     path = out_dir / "proximity.json"
-    write_json(path, report.to_dict())
-    print(f"invariance proximity: {format_float(report.proximity)}")
+    write_json(path, analysis.report())
+    print(f"invariance proximity: {format_float(analysis.proximity)}")
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -265,13 +265,17 @@ class Verdict(NamedTuple):
 def _span_basis(coords, rank_tol):
     """``(q, basis)`` with ``q = coords @ basis`` orthonormal, spanning the
     columns of ``coords``: one column per singular value above ``rank_tol``
-    times the largest (none may clear it), by descending singular value, each
-    signed by ``_lead_factors`` of its ``basis`` column."""
-    u, sigma, vt = np.linalg.svd(coords, full_matrices=False)
+    times the largest (none may clear it) of the block with each nonzero
+    column scaled to unit norm, so no column's scale sets the rank; by
+    descending singular value, each signed by ``_lead_factors`` of its
+    ``basis`` column."""
+    norms = np.linalg.norm(coords, axis=0)
+    scale = np.where(norms > 0, norms, 1.0)
+    u, sigma, vt = np.linalg.svd(coords / scale, full_matrices=False)
     rank = int(np.count_nonzero(sigma > rank_tol * sigma[0]))
-    v = vt[:rank].T
-    signs = _lead_factors(v)
-    return u[:, :rank] * signs, v * signs / sigma[:rank]
+    basis = vt[:rank].T / sigma[:rank] / scale[:, None]
+    signs = _lead_factors(basis)
+    return u[:, :rank] * signs, basis * signs
 
 
 def _spans(factor, rank_tol, quad_tol):

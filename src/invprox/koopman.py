@@ -12,8 +12,8 @@ eigenvectors of K.
 All geometric quantities live in coordinates on W = S + K(S): column j of
 the QR factor R of the weighted evaluations sqrt(w) * [Psi, K Psi] holds
 isometric coordinates of generator j. ``geometry._spans`` turns R into
-orthonormal bases of S and K(S), from SVDs of its two column blocks, their
-principal angles and their verdict (dim S, dim K(S), the proximity and
+orthonormal bases of S and K(S), from SVDs of its column blocks with unit
+columns, their principal angles and verdict (dim S, dim K(S), the proximity,
 dim W), so no Gram matrix is formed and the condition number is not squared.
 The worst-case relative projection error of the model over S equals the sine
 of the largest principal angle between those bases (Bjorck & Golub), and a
@@ -28,7 +28,7 @@ rule of order ceil(q/2)); the analysis warns with the message it returns.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -42,11 +42,9 @@ __all__ = [
     "ZeroNorm",
     "FunctionVec",
     "KoopmanModel",
-    "ProximityReport",
     "OracleResult",
     "InvarianceAnalysis",
     "build_model",
-    "invariance_proximity",
     "proximity_oracle",
     "trajectory_error",
     "trajectory_errors",
@@ -128,30 +126,6 @@ class KoopmanModel:
 
 
 @dataclass(frozen=True)
-class ProximityReport:
-    """Result of the invariance-proximity computation for one subspace."""
-
-    proximity: float
-    angles: np.ndarray
-    dim_s: int
-    dim_ks: int
-    dim_w: int
-    witness_coeffs: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "invariance_proximity": self.proximity,
-            "principal_angles_rad": list(map(float, self.angles)),
-            "dim_S": self.dim_s,
-            "dim_KS": self.dim_ks,
-            "dim_W": self.dim_w,
-            "witness_coeffs": list(map(float, self.witness_coeffs)),
-            "diagnostics": self.diagnostics,
-        }
-
-
-@dataclass(frozen=True)
 class OracleResult:
     """Best lower bound on the worst-case relative error found by sampling."""
 
@@ -166,10 +140,11 @@ class InvarianceAnalysis:
 
     Construction runs the whole geometric pipeline: factor the weighted
     evaluations into R (``space.koopman_factor``), take orthonormal bases of
-    S and K(S) from SVDs of its two column blocks, ranks counting singular
-    values above ``rank_tol`` times the largest, compute the principal
-    decomposition and the verdict (``geometry._spans``), let the backend
-    check the verdict, and build the witness. ``q_s`` is the orthonormal
+    S and K(S) from SVDs of its two column blocks, each column scaled to unit
+    norm, ranks counting singular values above ``rank_tol`` times the
+    largest, compute the principal decomposition and the verdict
+    (``geometry._spans``), let the backend check the verdict, and build the
+    witness. ``q_s`` is the orthonormal
     basis of S in these coordinates. dim W is dim S + dim K(S) less the
     angles whose sine is below ``quad_tol``, the sine to which the run
     certifies the proximity. ``warnings`` lists the check's warning, then
@@ -281,13 +256,15 @@ class InvarianceAnalysis:
 
         Its coefficients map onto the top principal vector on the image side:
         with ``q_image = image_map @ image_basis`` the orthonormal basis of
-        K(S), they are ``image_basis @ (q_image.T @ top)``, the minimum-norm
-        preimage, because the columns of ``image_basis`` lie in the row space
-        of the image map; that fixes the non-uniqueness when the operator is
-        not injective on S. The sign makes the largest-magnitude coefficient
-        positive. The constructor builds it: the preimage always exists, so a
-        normwise backward error ``|Ax - b| / (|A|_F |x| + |b|)`` beyond 1e-8
-        signals numerical breakdown and raises :class:`InconsistentSystem`.
+        K(S), they are ``image_basis @ (q_image.T @ top)``. The image block is
+        column-equilibrated before its SVD, so this is the preimage of
+        minimum norm in the column-scaled coefficients ``D c``, with ``D`` the
+        norms of the atoms' images (1 for an image of norm 0); that fixes the
+        non-uniqueness when the operator is not injective on S. The sign
+        makes the largest-magnitude coefficient positive. The constructor
+        builds it: the preimage always exists, so a normwise backward error
+        ``|Ax - b| / (|A|_F |x| + |b|)`` beyond 1e-8 signals numerical
+        breakdown and raises :class:`InconsistentSystem`.
         """
         return FunctionVec(self._preimage.copy(), self.atoms)
 
@@ -320,45 +297,23 @@ class InvarianceAnalysis:
                       key=lambda pair: (pair[0].real, pair[0].imag))
 
     def report(self):
-        return ProximityReport(
-            proximity=self.proximity,
-            angles=self.angles.copy(),
-            dim_s=self.dim_s,
-            dim_ks=self.dim_ks,
-            dim_w=self.dim_w,
-            witness_coeffs=self.witness().coeffs,
-            diagnostics=self.diagnostics(),
-        )
+        """The ``proximity.json`` payload: value, angles, dims, witness and
+        diagnostics."""
+        return {
+            "invariance_proximity": self.proximity,
+            "principal_angles_rad": self.angles.tolist(),
+            "dim_S": self.dim_s,
+            "dim_KS": self.dim_ks,
+            "dim_W": self.dim_w,
+            "witness_coeffs": self._preimage.tolist(),
+            "diagnostics": self.diagnostics(),
+        }
 
 
 def build_model(atoms, space, dynamics=None, rank_tol=DEFAULT_RANK_TOL):
     """The ``model`` of :class:`InvarianceAnalysis`: a quadrature backend
     needs the dynamics map, an empirical backend none."""
     return InvarianceAnalysis(atoms, space, dynamics, rank_tol=rank_tol).model
-
-
-def invariance_proximity(
-    atoms,
-    space,
-    dynamics=None,
-    rank_tol=DEFAULT_RANK_TOL,
-    quad_tol=DEFAULT_QUAD_TOL,
-):
-    """Worst-case relative projection error of the model on span(atoms).
-
-    Returns a :class:`ProximityReport` with the value (the sine of the
-    largest principal angle between the subspace and its operator image),
-    all principal angles, subspace dimensions, the witness coefficients, and
-    diagnostics.
-    """
-    analysis = InvarianceAnalysis(
-        atoms,
-        space,
-        dynamics,
-        rank_tol=rank_tol,
-        quad_tol=quad_tol,
-    )
-    return analysis.report()
 
 
 def proximity_oracle(analysis, n_samples=10000, seed=0):
@@ -450,10 +405,11 @@ def _refine(errors_of, point, value, max_steps, maps):
 
 def _simulate(model, dynamics, starts, horizon):
     """Percent errors ``(n_starts, horizon)`` and, per start, the step at
-    which its evaluated dictionary vanished (0: never); from that step on
-    the trajectory is left out of the batch and not evaluated again. A
-    non-finite percent error (an overflowing prediction) raises
-    NonFiniteValue naming the step and the start."""
+    which its evaluated dictionary vanished, its norm below the smallest
+    normal double (0: never); from that step on the trajectory is left out
+    of the batch and not evaluated again. A non-finite percent error (an
+    overflowing prediction) raises NonFiniteValue naming the step and the
+    start."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     state = starts = np.atleast_2d(np.asarray(starts, dtype=float))
@@ -467,7 +423,7 @@ def _simulate(model, dynamics, starts, horizon):
         truth = model.eval_basis(state)
         with np.errstate(over="ignore", invalid="ignore"):  # checked just below
             truth_norm = np.linalg.norm(truth, axis=1)
-            gone = truth_norm < 1e-14
+            gone = truth_norm < np.finfo(float).tiny  # a nan norm reaches the check below
             if gone.any():  # filtering costs a copy of each array per step
                 vanished[live[gone]] = k
                 live, state, prediction, truth, truth_norm = (

@@ -971,8 +971,23 @@ def test_one_config_one_exit_code(tmp_path, dynamics, dictionary):
     assert oracle["closed_form"] == proximity
     if dynamics[1] == "3e-33":
         assert proximity == 1.0
-    else:  # span(x1, x1^2) is invariant under a*x
+    else:  # span(x1, x1^2) is invariant under a*x, and K is invertible on it
         assert proximity <= 1e-12
+        # the image block's rank no longer depends on a: 1 for a <= 1e-13 once
+        assert (report["dim_S"], report["dim_KS"], report["dim_W"]) == (2, 2, 2)
+
+
+def test_predict_keeps_trajectories_under_a_fast_contraction(tmp_path):
+    # the evaluated dictionary shrinks by 1e-6 per step; with an absolute
+    # vanishing threshold of 1e-14 all 50 trajectories were excluded
+    config = base_config(("x1", "x1^2"))
+    config["dynamics"] = ["1e-6*x1", "1e-6*x2"]
+    assert run(["predict", "--config", write_config(tmp_path, config),
+                "--out", tmp_path]) == 0
+    payload = json.loads((tmp_path / "predict.json").read_text())
+    assert (payload["n_trajectories"], payload["excluded"]) == (50, 0)
+    assert len(payload["steps"]) == 10
+    assert max(step["max"] for step in payload["steps"]) <= 1e-11
 
 
 @pytest.mark.parametrize("command", ["proximity", "predict"])

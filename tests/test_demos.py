@@ -1,6 +1,10 @@
-"""Every script in demos/ runs to completion against the package in src/."""
+"""Every script in demos/, and the README quick start, runs to completion
+against the package in src/."""
 
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +24,13 @@ def test_demo_runs(script, tmp_path):
     result = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr[-2000:]
+
+
+def test_readme_quick_start_runs():
+    # the first python block of the README, executed as written
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue().startswith("0.823")
