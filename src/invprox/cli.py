@@ -9,6 +9,9 @@ Subcommands::
     invprox oracle     --config cfg.json [--out DIR] [--seed S] [--quad-order Q] [--rank-tol T]
     invprox residuals  --config cfg.json [--out DIR] [--quad-order Q] [--rank-tol T]
 
+Every command reaches its analysis through one function from a config;
+``table1`` builds its config from the registry system, with the same defaults.
+
 Exit codes: 0 ok; 2 configuration or parse error; 3 numerical failure;
 4 internal-consistency failure (the sampling oracle exceeded the closed
 form, which indicates a bug rather than a user error).
@@ -218,12 +221,15 @@ def load_config(path):
         location, _, message = max(errors, key=lambda e: (-len(e[0]), e[0], e[1]))
         location = "/".join(map(str, location)) or "<root>"
         raise ConfigError(f"config schema violation at {location}: {message}")
-    for section, defaults in _DEFAULTS.items():
-        merged = dict(defaults)
-        merged.update(config.get(section, {}))
-        config[section] = merged
     if len(config["domain"]) != config["state_dim"]:
         raise ConfigError("domain must list one interval per state dimension")
+    return _with_defaults(config)
+
+
+def _with_defaults(config):
+    """``config`` with each section of ``_DEFAULTS`` filled in where it is silent."""
+    for section, defaults in _DEFAULTS.items():
+        config[section] = {**defaults, **config.get(section, {})}
     return config
 
 
@@ -305,26 +311,6 @@ def _validate(schema, value, path, errors):
     return result
 
 
-def _parse_dictionary(config):
-    n = config["state_dim"]
-    try:
-        return tuple(parse(s, n) for s in config["dictionary"])
-    except ParseError as exc:
-        raise ConfigError(f"dictionary expression: {exc}") from exc
-
-
-def _parse_dynamics(config):
-    if "dynamics" not in config:
-        return None
-    n = config["state_dim"]
-    if len(config["dynamics"]) != n:
-        raise ConfigError("dynamics must list one expression per state dimension")
-    try:
-        return DynamicsMap.from_strings(config["dynamics"], n)
-    except ParseError as exc:
-        raise ConfigError(f"dynamics expression: {exc}") from exc
-
-
 def build_space(config):
     backend = config["backend"]
     try:  # a bad interval, a rule or its check rule over the node budget, or a bad file
@@ -345,39 +331,41 @@ def build_space(config):
         raise ConfigError(str(exc)) from exc
 
 
-def _prepare(config, need_dynamics):
+def _analysis(config, simulate=False):
+    """The analysis ``config`` describes and its dynamics (or None), which
+    ``simulate`` (predict) requires and the empirical backend's analysis ignores."""
     space = build_space(config)
-    atoms = _parse_dictionary(config)
-    dynamics = _parse_dynamics(config)
-    empirical = isinstance(space, EmpiricalSpace)
-    if need_dynamics and dynamics is None:
+    n = config["state_dim"]
+
+    def parsed(section):
+        try:
+            return tuple(parse(s, n) for s in config[section])
+        except ParseError as exc:
+            raise ConfigError(f"{section} expression: {exc}") from exc
+
+    atoms = parsed("dictionary")
+    dynamics = None
+    if "dynamics" in config:
+        if len(config["dynamics"]) != n:
+            raise ConfigError("dynamics must list one expression per state dimension")
+        dynamics = DynamicsMap(n, parsed("dynamics"))
+    empirical = config["backend"]["type"] == "empirical"
+    if simulate and dynamics is None:
         raise ConfigError("this command requires a dynamics section")
-    if not need_dynamics and empirical and dynamics is not None:
-        raise ConfigError(
-            "dynamics is forbidden with the empirical backend unless "
-            "trajectories are being simulated (the predict command)"
-        )
+    if not simulate and empirical and dynamics is not None:
+        raise ConfigError("dynamics is forbidden with the empirical backend unless "
+                          "trajectories are being simulated (the predict command)")
     if not empirical and dynamics is None:
         raise ConfigError("the quadrature backend requires a dynamics section")
-    return space, atoms, dynamics
-
-
-def _analysis(config, space, atoms, dynamics):
-    tol = config["tolerances"]
-    return InvarianceAnalysis(
-        atoms,
-        space,
-        dynamics,
-        rank_tol=tol["rank_tol"],
-        quad_tol=tol["quad_tol"],
-    )
+    analysis = InvarianceAnalysis(atoms, space, None if empirical else dynamics,
+                                  **config["tolerances"])  # rank_tol and quad_tol
+    return analysis, dynamics
 
 
 # --- subcommands ----------------------------------------------------------------
 
 def cmd_proximity(config, out_dir):
-    space, atoms, dynamics = _prepare(config, need_dynamics=False)
-    analysis = _analysis(config, space, atoms, dynamics)
+    analysis, _ = _analysis(config)
     path = out_dir / "proximity.json"
     write_json(path, analysis.report())
     print(f"invariance proximity: {format_float(analysis.proximity)}")
@@ -385,19 +373,16 @@ def cmd_proximity(config, out_dir):
     return EXIT_OK
 
 
-def cmd_table1(out_dir, quad_order, rank_tol):
-    system = SYSTEM_REGISTRY["example_sec7"]
-    domain = Domain(tuple(tuple(b) for b in system["domain"]))
-    space = QuadratureSpace(domain, quad_order)
-    dynamics = DynamicsMap.from_strings(system["dynamics"], system["state_dim"])
-    rows = []
-    for name, sources in system["subspaces"].items():
-        atoms = tuple(parse(s, system["state_dim"]) for s in sources)
-        analysis = InvarianceAnalysis(atoms, space, dynamics, rank_tol=rank_tol)
+def cmd_table1(config, out_dir):
+    """Each subspace of the registry system analysed as the dictionary of ``config``."""
+    rows, warnings = [], []
+    for name, sources in SYSTEM_REGISTRY["example_sec7"]["subspaces"].items():
+        analysis, _ = _analysis({**config, "dictionary": sources})
         rows.append((name, analysis.proximity))
+        warnings.extend(f"warning: {name}: {w}" for w in analysis.warnings)
         print(f"{name}: {format_float(analysis.proximity)}")
     path = out_dir / "table1.csv"
-    write_csv(path, ["subspace", "proximity"], rows)
+    write_csv(path, ["subspace", "proximity"], rows, comments=warnings)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -410,9 +395,7 @@ def cmd_predict(config, out_dir):
     if values > MAX_PREDICT_VALUES:
         raise ConfigError(f"n_trajectories * (horizon + 1) is {values}, more than the "
                           f"{MAX_PREDICT_VALUES} allowed")
-    space, atoms, dynamics = _prepare(config, need_dynamics=True)
-    model_dynamics = None if isinstance(space, EmpiricalSpace) else dynamics
-    analysis = _analysis(config, space, atoms, model_dynamics)
+    analysis, dynamics = _analysis(config, simulate=True)
     domain = Domain(tuple(tuple(b) for b in config["domain"]))
     rng = np.random.default_rng(seed)
     starts = domain.sample(rng, experiment["n_trajectories"])
@@ -450,8 +433,7 @@ def cmd_predict(config, out_dir):
 
 
 def cmd_oracle(config, out_dir):
-    space, atoms, dynamics = _prepare(config, need_dynamics=False)
-    analysis = _analysis(config, space, atoms, dynamics)
+    analysis, _ = _analysis(config)
     oracle_cfg = config["oracle"]
     result = proximity_oracle(analysis, n_samples=oracle_cfg["n_samples"],
                               seed=oracle_cfg["seed"])
@@ -481,8 +463,7 @@ def cmd_oracle(config, out_dir):
 
 
 def cmd_residuals(config, out_dir):
-    space, atoms, dynamics = _prepare(config, need_dynamics=False)
-    analysis = _analysis(config, space, atoms, dynamics)
+    analysis, _ = _analysis(config)
     bound = analysis.restricted_norm() * analysis.proximity
     rows = []
     violations = 0
@@ -531,17 +512,24 @@ def _build_parser():
 
 
 def _apply_overrides(config, args):
+    """``config`` with the command-line flags written in; every flag is checked here."""
+    if args.quad_order is not None:
+        if args.quad_order < 1:
+            raise ConfigError("--quad-order must be positive")
+        if args.quad_order > MAX_QUAD_ORDER:
+            raise ConfigError(f"--quad-order must be at most {MAX_QUAD_ORDER}")
+        if config["backend"]["type"] != "quadrature":
+            raise ConfigError("--quad-order applies to the quadrature backend only")
+        config["backend"]["order"] = args.quad_order
+    if args.rank_tol is not None:
+        if not 0 < args.rank_tol < np.inf:
+            raise ConfigError("--rank-tol must be positive and finite")
+        config["tolerances"]["rank_tol"] = args.rank_tol
     if getattr(args, "seed", None) is not None:  # oracle and predict only
         if args.seed < 0:
             raise ConfigError("--seed must be nonnegative")
         config["oracle"]["seed"] = args.seed
         config["experiment"]["sampling_seed"] = args.seed
-    if args.quad_order is not None:
-        if config["backend"]["type"] != "quadrature":
-            raise ConfigError("--quad-order applies to the quadrature backend only")
-        config["backend"]["order"] = args.quad_order
-    if args.rank_tol is not None:
-        config["tolerances"]["rank_tol"] = args.rank_tol
     return config
 
 
@@ -567,24 +555,16 @@ def main(argv=None):
     setter = _blas_thread_setter()
     previous = setter(1) if setter else None
     try:
-        out_dir = Path(args.out)
-        if args.quad_order is not None and args.quad_order < 1:
-            raise ConfigError("--quad-order must be positive")
-        if args.quad_order is not None and args.quad_order > MAX_QUAD_ORDER:
-            raise ConfigError(f"--quad-order must be at most {MAX_QUAD_ORDER}")
-        if args.rank_tol is not None and not 0 < args.rank_tol < np.inf:
-            raise ConfigError("--rank-tol must be positive and finite")
         if args.command == "table1":
-            return cmd_table1(out_dir, args.quad_order or DEFAULT_QUAD_ORDER,
-                              args.rank_tol or DEFAULT_RANK_TOL)
-        config = _apply_overrides(load_config(args.config), args)
-        handler = {
-            "proximity": cmd_proximity,
-            "predict": cmd_predict,
-            "oracle": cmd_oracle,
-            "residuals": cmd_residuals,
-        }[args.command]
-        return handler(config, out_dir)
+            system = SYSTEM_REGISTRY["example_sec7"]  # as a config; its S3 holds every atom
+            config = _with_defaults({
+                "state_dim": system["state_dim"], "domain": system["domain"],
+                "backend": {"type": "quadrature"}, "dynamics": system["dynamics"],
+                "dictionary": system["subspaces"]["S3"]})
+        else:
+            config = load_config(args.config)
+        handler = globals()[f"cmd_{args.command}"]  # at call time, so a patched one runs
+        return handler(_apply_overrides(config, args), Path(args.out))
     except (ConfigError, ParseError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -85,6 +85,10 @@ BUILTINS: dict[str, Callable] = {
 
 _VAR_RE = re.compile(r"^x([1-9][0-9]*)$")
 
+# Levels of an expression tree (a sum of n terms has n): compiling and printing
+# recurse once per level, which this keeps well inside Python's recursion limit.
+MAX_DEPTH = 200
+
 
 # --- AST nodes (immutable) ---------------------------------------------------
 
@@ -165,9 +169,10 @@ def _const_value(node):
     """Value of a variable-free subtree, or None if it references a variable."""
     if isinstance(node, Const):  # the usual exponent; skips a program run
         return node.value
-    if any(key[0] == "x" for key in _compile([node])[0]):
+    program = compile((Expr(node, 1),))  # compiled once: its exponents are checked once
+    if any(step[0] == "x" for step in program.steps):
         return None
-    return float(evaluate((Expr(node, 1),), np.empty((1, 1)))[0, 0])
+    return float(program(np.empty((1, 1)))[0, 0])
 
 
 _UFUNCS = {"neg": np.negative, **BUILTINS, "+": np.add, "-": np.subtract,
@@ -530,13 +535,27 @@ def parse(source, state_dim):
     """Parse ``source`` into an :class:`Expr` over ``state_dim`` variables.
 
     Raises :class:`ParseError` (or the :class:`UnknownIdentifier` /
-    :class:`ArityError` subclasses) with the offending source position.
+    :class:`ArityError` subclasses) with the offending source position, also
+    for a tree more than ``MAX_DEPTH`` levels deep.
     """
     if state_dim < 1:
         raise ValueError("state_dim must be positive")
-    parser = _Parser(_tokenize(source), state_dim)
-    root = parser.parse_expr()
+    tokens = _tokenize(source)
+    parser = _Parser(tokens, state_dim)
+    try:
+        root = parser.parse_expr()
+    except RecursionError:
+        raise ParseError("expression nests too deeply to parse", parser.peek()[2]) from None
     kind, text, pos = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing input {text!r}", pos)
+    # each node has a token of its own, so only a long source can be too deep
+    depth, level = 0, [root] if len(tokens) > MAX_DEPTH else []
+    while level:  # level by level: the tree may be too deep to recurse on
+        depth += 1
+        level = [child for node in level for child in vars(node).values()
+                 if isinstance(child, (Const, Var, Neg, BinOp, Call))]
+    if depth > MAX_DEPTH:
+        raise ParseError(f"expression is {depth} levels deep, more than the "
+                         f"{MAX_DEPTH} allowed", 0)
     return Expr(root, state_dim)

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from invprox import DynamicsMap, Expr, QuadratureSpace, Domain, write_snapshots
 from invprox import cli
 from invprox.cli import CONFIG_SCHEMA, ConfigError, load_config, main
+from invprox.expr import MAX_DEPTH
 from invprox.space import MAX_QUAD_ORDER
 
 from conftest import DICTIONARIES, DYNAMICS_SOURCES, bench_module
@@ -682,6 +683,29 @@ class TestTable1Command:
         assert result.returncode == 0, result.stderr[-2000:]
         assert (tmp_path / "table1.csv").read_text().startswith("subspace,proximity\nS1,")
 
+    def test_unconverged_rule_warns_in_the_table(self, tmp_path):
+        # table1 built its own space and wrote none of the check's warnings
+        with pytest.warns(UserWarning) as caught:
+            assert run(["table1", "--out", tmp_path, "--quad-order", 2]) == 0
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 3
+        assert all(m.startswith("quadrature order 2 not converged: ") for m in messages)
+        lines = (tmp_path / "table1.csv").read_text().splitlines()
+        assert lines[:4] == [f"# warning: S{k}: {m}" for k, m in enumerate(messages, 1)] + \
+            ["subspace,proximity"]
+
+    def test_its_config_passes_the_schema(self, tmp_path, monkeypatch):
+        configs = []
+        monkeypatch.setattr(cli, "cmd_table1",
+                            lambda config, out_dir: configs.append(config) or 0)
+        assert run(["table1", "--out", tmp_path, "--quad-order", 30, "--rank-tol", 1e-8]) == 0
+        [config] = configs
+        errors = []
+        cli._validate(CONFIG_SCHEMA, config, (), errors)
+        assert errors == []
+        assert config["backend"] == {"type": "quadrature", "order": 30}
+        assert config["tolerances"]["rank_tol"] == 1e-8
+
 
 class TestPredictCommand:
     def test_invariant_subspace_errors_vanish(self, tmp_path):
@@ -946,6 +970,30 @@ def test_unconverged_rule_warns_in_every_output(tmp_path, command):
         lines = (tmp_path / csv_name).read_text().splitlines()
         header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
         assert lines[header - len(messages):header] == [f"# warning: {m}" for m in messages]
+
+
+@pytest.mark.parametrize("section", ["dictionary", "dynamics"])
+@pytest.mark.parametrize("source", [
+    pytest.param("(" * 400 + "x1" + ")" * 400, id="parentheses"),
+    pytest.param("+".join(["x1"] * 2000), id="sum"),
+    pytest.param("-" * 2000 + "x1", id="minuses"),
+])
+def test_deep_expression_is_config_error(tmp_path, capsys, section, source):
+    # each escaped as RecursionError with a traceback (exit 1)
+    config = base_config(DICTIONARIES["S2"])
+    config[section][-1] = source
+    out = tmp_path / "out"
+    assert run(["proximity", "--config", write_config(tmp_path, config), "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {section} expression: ")
+    assert not out.exists()
+
+
+def test_sum_at_the_depth_bound_runs(tmp_path):
+    config = base_config(["1", "+".join(["x1"] * MAX_DEPTH)])
+    assert run(["proximity", "--config", write_config(tmp_path, config),
+                "--out", tmp_path]) == 0
+    report = json.loads((tmp_path / "proximity.json").read_text())
+    assert report["dim_S"] == 2
 
 
 @pytest.mark.parametrize("dynamics, dictionary", [

@@ -116,6 +116,7 @@ def test_roundtrip_catalog():
         "x1/(x2/x1)",
         "sqrt(abs(x1))+exp(-x2)",
         "1e-3*x1+2.5",
+        "+".join(["x1"] * expr.MAX_DEPTH),  # printing recurses once per level
     ]
     for source in sources:
         e = parse(source, 2)
@@ -403,3 +404,33 @@ def test_sweep_dictionaries_never_call_power(monkeypatch):
         evaluate(sweep_atoms(basis, 10), points)
     evaluate([parse(s, 2) for s in ("x1^-1", "x1^0", "x1^1")], points)
     assert calls == []
+
+
+# --- nesting -------------------------------------------------------------------
+
+def test_nested_constant_exponents_compile_quadratically(monkeypatch):
+    # each ^ compiled its exponent twice, and each compile checked the
+    # exponents inside it again: 2026 compiles at 10 levels, 65504 at 15
+    calls = []
+    compile_program = expr._compile
+    monkeypatch.setattr(expr, "_compile",
+                        lambda roots: calls.append(1) or compile_program(roots))
+    for depth in (5, 10, 20, 40):
+        calls.clear()
+        e = parse("x1" + "^1" * depth, 1)
+        assert len(calls) <= depth**2, depth
+        assert e.eval((0.5,)) == 0.5
+
+
+@pytest.mark.parametrize("source, message", [
+    ("+".join(["x1"] * 2000), "expression is 2000 levels deep, more than the 200 allowed"),
+    ("+".join(["x1"] * (expr.MAX_DEPTH + 1)),
+     "expression is 201 levels deep, more than the 200 allowed"),
+    ("-" * 2000 + "x1", "expression nests too deeply to parse"),
+    ("(" * 400 + "x1" + ")" * 400, "expression nests too deeply to parse"),
+])
+def test_too_deep_expressions_are_parse_errors(source, message):
+    # they raised RecursionError from the parser or from the compile
+    with pytest.raises(ParseError) as info:
+        parse(source, 1)
+    assert info.value.message == message
