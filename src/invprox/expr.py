@@ -18,11 +18,13 @@ Grammar (also documented in the README):
 Variables are fixed names ``x1 ... xn`` where ``n`` is the declared state
 dimension. The exponent of ``^`` must be a constant subexpression with an
 integer value, which keeps every expression real-valued on domains that
-contain negative coordinates. ``x^k`` is evaluated without ``np.power``:
-``x^0`` is the constant 1, ``x^1`` is ``x``, ``x^k = x^ceil(k/2) *
-x^floor(k/2)`` for ``k >= 2`` and ``x^-k = 1 / x^k``. Each product and
-division is correctly rounded, so the result is the same on every machine,
-with relative error at most ``|k| * 2^-53`` while the powers stay normal.
+contain negative coordinates; the parser stores that value as the exponent
+(``2^(1+1)`` prints as ``2.0^2.0``). ``x^k`` is evaluated without
+``np.power``: ``x^0`` is the constant 1, ``x^1`` is ``x``, ``x^k =
+x^ceil(k/2) * x^floor(k/2)`` for ``k >= 2`` and ``x^-k = 1 / x^k``. Each
+product and division is correctly rounded, so the result is the same on
+every machine, with relative error at most ``|k| * 2^-53`` while the powers
+stay normal.
 """
 
 from __future__ import annotations
@@ -169,7 +171,7 @@ def _const_value(node):
     """Value of a variable-free subtree, or None if it references a variable."""
     if isinstance(node, Const):  # the usual exponent; skips a program run
         return node.value
-    program = compile((Expr(node, 1),))  # compiled once: its exponents are checked once
+    program = compile((Expr(node, 1),))  # its own exponents are Consts already
     if any(step[0] == "x" for step in program.steps):
         return None
     return float(program(np.empty((1, 1)))[0, 0])
@@ -212,8 +214,8 @@ def _compile(roots):
 
     def visit(node):
         if isinstance(node, BinOp) and node.op == "^":
-            k = _const_value(node.right)
-            if k is None or not float(k).is_integer():
+            k = node.right.value if isinstance(node.right, Const) else math.nan
+            if not float(k).is_integer():  # the parser stores each exponent's value
                 raise ValueError(f"exponent of {_to_source(node)} is not a constant integer")
             step = power(visit(node.left), int(abs(k))) if k else visit(Const(1.0))
             return step if k >= 0 else step_of((_UFUNCS["/"], visit(Const(1.0)), step))
@@ -490,11 +492,9 @@ class _Parser:
             value = _const_value(exponent)
             if value is None:
                 raise ParseError("exponent must be a constant expression", pos)
-            if not (np.isfinite(value) and float(value).is_integer()):
-                raise ParseError(
-                    f"exponent must have an integer value, got {value!r}", pos
-                )
-            return BinOp("^", base, exponent)
+            if not float(value).is_integer():  # nor is inf or nan
+                raise ParseError(f"exponent must have an integer value, got {value!r}", pos)
+            return BinOp("^", base, Const(value))  # resolved once, here: compiling reads it
         return base
 
     def parse_primary(self):

@@ -262,15 +262,41 @@ class Verdict(NamedTuple):
     dim_w: int
 
 
+def _binades(a, axis=None):
+    """Powers of two, one per vector of ``a`` along ``axis`` (one for all of
+    ``a`` if None), kept as a size-1 axis: each is at most the vector's
+    largest magnitude and more than half of it (0.5 for a zero vector), so
+    dividing by it is exact and the quotient's squares stay in range."""
+    return np.ldexp(0.5, np.frexp(np.max(np.abs(a), axis, keepdims=True))[1])
+
+
+def _lengths(a, axis):
+    """Euclidean lengths of the vectors of ``a`` along ``axis``, without
+    squaring past the float range. Between 1e-140 and 1e150 they are the
+    plain norms, since no square that counts leaves the normal range there.
+    Outside, each vector is divided by its ``_binades`` power of two, which
+    is exact, and its length multiplied back: the two agree bit for bit
+    wherever no square leaves the range."""
+    with np.errstate(over="ignore"):  # an overflowed square gives inf, taken again below
+        lengths = np.linalg.norm(a, axis=axis)
+    if ((lengths > 1e-140) & (lengths < 1e150)).all():
+        return lengths
+    scale = _binades(a, axis)
+    return np.linalg.norm(a / scale, axis=axis) * np.squeeze(scale, axis)
+
+
 def _span_basis(coords, rank_tol):
     """``(q, basis)`` with ``q = coords @ basis`` orthonormal, spanning the
     columns of ``coords``: one column per singular value above ``rank_tol``
-    times the largest (none may clear it) of the block with each nonzero
-    column scaled to unit norm, so no column's scale sets the rank; by
-    descending singular value, each signed by ``_lead_factors`` of its
-    ``basis`` column."""
-    norms = np.linalg.norm(coords, axis=0)
-    scale = np.where(norms > 0, norms, 1.0)
+    times the largest (none may clear it) of the block with each column
+    scaled to unit length, so no column's scale sets the rank, and each
+    column shorter than the smallest normal double zeroed, with zero
+    coefficients; by descending singular value, each signed by
+    ``_lead_factors`` of its ``basis`` column."""
+    norms = _lengths(coords, 0)
+    # a subnormal length is rounding, not a direction: an infinite scale zeroes
+    # the column before the SVD and its coefficients after
+    scale = np.where(norms < np.finfo(float).tiny, np.inf, norms)
     u, sigma, vt = np.linalg.svd(coords / scale, full_matrices=False)
     rank = int(np.count_nonzero(sigma > rank_tol * sigma[0]))
     basis = vt[:rank].T / sigma[:rank] / scale[:, None]

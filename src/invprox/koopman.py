@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import DegenerateSpace, _lead_factors, _spans
+from .geometry import DegenerateSpace, _binades, _lead_factors, _lengths, _spans
 from .space import NonFiniteValue, _AtomProgram
 
 __all__ = [
@@ -199,8 +199,9 @@ class InvarianceAnalysis:
         top = self.decomposition.v_vectors[:, -1]
         coeffs = image_basis @ (q_image.T @ top)
         solve_residual = float(np.linalg.norm(self.image_map @ coeffs - top))
+        # |top| = 1; a Python product past the float range is inf, not a warning
         backward_error = solve_residual / (
-            np.linalg.norm(self.image_map) * np.linalg.norm(coeffs) + np.linalg.norm(top))
+            float(_lengths(self.image_map.ravel(), 0)) * float(_lengths(coeffs, 0)) + 1.0)
         error = float(np.linalg.norm(top - self.q_s @ (self.q_s.T @ top)))
         if backward_error <= 1e-8 and abs(error - self.proximity) > 1e-8:
             self.warnings.append(f"witness relative error {error:.12e} deviates from the "
@@ -259,12 +260,12 @@ class InvarianceAnalysis:
         K(S), they are ``image_basis @ (q_image.T @ top)``. The image block is
         column-equilibrated before its SVD, so this is the preimage of
         minimum norm in the column-scaled coefficients ``D c``, with ``D`` the
-        norms of the atoms' images (1 for an image of norm 0); that fixes the
-        non-uniqueness when the operator is not injective on S. The sign
-        makes the largest-magnitude coefficient positive. The constructor
-        builds it: the preimage always exists, so a normwise backward error
-        ``|Ax - b| / (|A|_F |x| + |b|)`` beyond 1e-8 signals numerical
-        breakdown and raises :class:`InconsistentSystem`.
+        norms of the atoms' images (an atom whose image is subnormal gets 0);
+        that fixes the non-uniqueness when the operator is not injective on
+        S. The sign makes the largest-magnitude coefficient positive. The
+        constructor builds it: the preimage always exists, so a normwise
+        backward error ``|Ax - b| / (|A|_F |x| + |b|)`` beyond 1e-8 signals
+        numerical breakdown and raises :class:`InconsistentSystem`.
         """
         return FunctionVec(self._preimage.copy(), self.atoms)
 
@@ -290,8 +291,8 @@ class InvarianceAnalysis:
         keep = real | (eigenvalues.imag > 0)  # a conjugate partner is reported instead
         lams = np.where(real, eigenvalues.real, eigenvalues)[keep].astype(complex)
         v = vectors[:, keep] / np.linalg.norm(vectors[:, keep], axis=0)
-        functions = self.q_s @ v
-        residuals = (np.linalg.norm(self.basis_image_map @ v - functions * lams, axis=0)
+        functions = self.q_s @ v  # unit columns, as q_s is orthonormal; the images need not be
+        residuals = (_lengths(self.basis_image_map @ v - functions * lams, 0)
                      / np.linalg.norm(functions, axis=0))
         return sorted(zip(lams.tolist(), residuals.tolist()),
                       key=lambda pair: (pair[0].real, pair[0].imag))
@@ -340,8 +341,12 @@ def proximity_oracle(analysis, n_samples=10000, seed=0):
     # one product gives each image and its residual off S: the residual map
     # is the image map less its projection onto S
     maps = np.vstack([a_k, a_k - q @ (q.T @ a_k)]).T
+    # the errors are ratios: dividing by a power of two is exact and keeps
+    # their squares in range however large the images are
+    scale = _binades(maps).item()
+    maps /= scale
     n_coords = a_k.shape[0]  # rows of R: coordinates in W
-    vanishing = 1e-7 * np.linalg.norm(a_k, 2)
+    vanishing = 1e-7 * np.linalg.norm(a_k, 2) / scale
 
     def errors_of(rows):
         """Relative errors of unit coefficient rows; -1 where the image vanishes."""
@@ -422,14 +427,13 @@ def _simulate(model, dynamics, starts, horizon):
         prediction = prediction @ model.k_approx.T
         truth = model.eval_basis(state)
         with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-            truth_norm = np.linalg.norm(truth, axis=1)
+            truth_norm = _lengths(truth, 1)
             gone = truth_norm < np.finfo(float).tiny  # a nan norm reaches the check below
             if gone.any():  # filtering costs a copy of each array per step
                 vanished[live[gone]] = k
                 live, state, prediction, truth, truth_norm = (
                     a[~gone] for a in (live, state, prediction, truth, truth_norm))
-            step = errors[live, k - 1] = (100.0 * np.linalg.norm(truth - prediction, axis=1)
-                                          / truth_norm)
+            step = errors[live, k - 1] = 100.0 * _lengths(truth - prediction, 1) / truth_norm
         if not np.isfinite(step).all():
             i = np.argmin(np.isfinite(step))
             raise NonFiniteValue(f"percent error at step {k} of the trajectory from "

@@ -776,8 +776,9 @@ class TestPredictCommand:
 
     def test_overflowing_prediction_is_numerical_failure(self, tmp_path, capsys):
         # composing with x -> x/2 widens the bump, so the model matrix is
-        # 1.2649, no contraction: the prediction's norm overflows at step
-        # 1523, where predict.csv once read inf and nan and the run exited 0
+        # 1.2649, no contraction: the prediction overflows at step 3014 (its
+        # squared norm did at step 1523, which once ended the run there);
+        # predict.csv once read inf and nan there and the run exited 0
         config = {"state_dim": 1, "domain": [[-1.0, 1.0]],
                   "backend": {"type": "quadrature", "order": 40},
                   "dynamics": ["0.5*x1"], "dictionary": ["exp(-50*x1^2)"],
@@ -796,8 +797,8 @@ class TestPredictCommand:
             "quadrature order 40 not converged: proximity changes by 2.398e-02, "
             "dim S 1 -> 1, dim K(S) 1 -> 1 at order 20"]
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: NonFiniteValue: percent error at step 1523 ")
-        assert "NonFiniteValue: percent error at step 1523 of the trajectory from [" in err
+        assert err.startswith("numerical failure: NonFiniteValue: percent error at step 3014 ")
+        assert "NonFiniteValue: percent error at step 3014 of the trajectory from [" in err
         assert not out.exists()
 
     def test_zero_image_is_numerical_failure(self, tmp_path, capsys):

@@ -408,18 +408,48 @@ def test_sweep_dictionaries_never_call_power(monkeypatch):
 
 # --- nesting -------------------------------------------------------------------
 
-def test_nested_constant_exponents_compile_quadratically(monkeypatch):
-    # each ^ compiled its exponent twice, and each compile checked the
-    # exponents inside it again: 2026 compiles at 10 levels, 65504 at 15
+def test_towers_compile_once_per_level(monkeypatch):
+    # the parser resolves each exponent where it reads it, so a tower is a
+    # two-level tree: one compile per level checks an exponent and one more
+    # evaluates the tree. When compiling checked every exponent again, the
+    # count grew with the square of the height (45 at 10 levels) and 199
+    # levels ran out of recursion
     calls = []
     compile_program = expr._compile
     monkeypatch.setattr(expr, "_compile",
                         lambda roots: calls.append(1) or compile_program(roots))
-    for depth in (5, 10, 20, 40):
+    for depth in (5, 10, 20, 40, 199, 400):
         calls.clear()
         e = parse("x1" + "^1" * depth, 1)
-        assert len(calls) <= depth**2, depth
         assert e.eval((0.5,)) == 0.5
+        assert len(calls) <= depth + 1, depth
+        assert e.root == BinOp("^", Var(1), Const(1.0))
+
+
+def test_compiling_never_evaluates_an_exponent(monkeypatch):
+    atoms = [*sweep_atoms("legendre", 10), *(parse(s, 2) for s in ("x1^(1+1)", "2^3^2", "x2^-2"))]
+    points = np.random.default_rng(10).uniform(-1, 1, size=(7, 2))
+    want = evaluate(atoms, points)
+
+    def refuse(node):
+        raise AssertionError(f"exponent {node} evaluated again")
+
+    monkeypatch.setattr(expr, "_const_value", refuse)
+    _assert_bitwise_equal(evaluate(atoms, points), want)
+
+
+@pytest.mark.parametrize("source, printed, value", [
+    ("x1^(1+1)", "x1^2.0", 9.0),
+    ("2^3^2", "2.0^9.0", 512.0),
+    ("x1^-2", "x1^-2.0", 1 / 9),
+    ("x1^(2*3-7)", "x1^-1.0", 1 / 3),
+    ("(x1^2)^(3-3)", "(x1^2.0)^0.0", 1.0),
+])
+def test_exponents_print_as_their_values(source, printed, value):
+    e = parse(source, 1)
+    assert str(e) == printed
+    assert parse(printed, 1).root == e.root
+    assert e.eval((3.0,)) == value
 
 
 @pytest.mark.parametrize("source, message", [
@@ -428,6 +458,7 @@ def test_nested_constant_exponents_compile_quadratically(monkeypatch):
      "expression is 201 levels deep, more than the 200 allowed"),
     ("-" * 2000 + "x1", "expression nests too deeply to parse"),
     ("(" * 400 + "x1" + ")" * 400, "expression nests too deeply to parse"),
+    ("x1" + "^1" * 2000, "expression nests too deeply to parse"),
 ])
 def test_too_deep_expressions_are_parse_errors(source, message):
     # they raised RecursionError from the parser or from the compile
